@@ -72,10 +72,6 @@ class ArithmeticTable:
         if not 0 <= x <= self.x_max:
             raise RangeError(f"x={x} outside sieved range [0, {self.x_max}]")
 
-    @property
-    def representable_count(self) -> int:
-        return int(len(self.representable))
-
 
 def _smallest_prime_factor(x_max: int) -> np.ndarray:
     """spf[n] = smallest prime factor of n for n >= 2 (spf[p] = p for primes)."""

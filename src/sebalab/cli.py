@@ -25,9 +25,9 @@ import tempfile
 
 from . import __version__
 from .arithmetic import CapacityError, build_table
-from .epstein import (LogDomainError, PoleError, RectangularForm,
-                      epstein_continued, epstein_direct, ground_exponents,
-                      symmetry_check)
+from .epstein import (LogDomainError, NonconvergenceError, PoleError,
+                      RectangularForm, epstein_continued, epstein_direct,
+                      ground_exponents, symmetry_check)
 from .multifractal import (FilterConfig, fractal_estimates, mean_tail,
                            moment_profile)
 from .spectrum import CouplingConfig, CutoffPolicy, solve_range
@@ -192,7 +192,12 @@ def _default_table_max(cfg):
         # the truncation bound at the largest root must fit in the table
         return int(math.ceil(max(cfg["multiplier"] * cfg["x_max"],
                                  cfg["x_max"] + cfg["min_span"])))
-    return cfg["x_max"] + 2 * int(math.sqrt(cfg["x_max"])) + 8
+    window = cfg["x_max"] + 2 * int(math.sqrt(cfg["x_max"])) + 8
+    if cfg["command"] == "moments":
+        # zeta sums need the table to reach 2*lambda; every root lies below
+        # the next element of N after x_max, which is <= (isqrt(x_max) + 1)^2
+        return max(window, 2 * (math.isqrt(cfg["x_max"]) + 1) ** 2)
+    return window
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +288,13 @@ def _run_symmetry(cfg, threads):
 def _run_epstein(cfg, threads):
     form = RectangularForm(a=cfg["a"])
     s = cfg["s"]
-    if s > 1.0:
-        got = epstein_direct(form, s, tol=cfg["tol"])
-    else:
+    got = None
+    if s > 1.05:
+        try:
+            got = epstein_direct(form, s, tol=cfg["tol"])
+        except NonconvergenceError:
+            pass    # tol needs more shells than the budget allows
+    if got is None:
         got = epstein_continued(form, s, dps=cfg["dps"])
     return {"a": cfg["a"], "s": s, "value": got.value,
             "certified_error": got.certified_error, "method": got.method}

@@ -37,10 +37,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .arithmetic import ArithmeticTable
-from .spectrum import EmptyWindowError, SebaSpectrum, SecularPoleError
+from .arithmetic import _HALF_LOG2, ArithmeticTable
+from .spectrum import EmptyWindowError, SebaSpectrum, _check_pole
 
-_HALF_LOG2 = 0.5 * math.log(2.0)
 _TWO_PI = 2.0 * math.pi
 
 
@@ -59,12 +58,6 @@ def _circle_tail(span: float, x: float, s: float) -> float:
     # certified bound on sum_{n>x} r2(n) (n - (x - span))^{-s}
     eps = 15.0 * x ** -0.25 + 20.0 * x ** 0.75 / span
     return (math.pi + eps) * span ** (1.0 - s) * s / (s - 1.0)
-
-
-def _check_pole(lam: float, table: ArithmeticTable) -> None:
-    n = round(lam)
-    if lam == n and 0 <= n <= table.x_max and table.r2[n] > 0:
-        raise SecularPoleError(f"lambda={lam} is a Laplace eigenvalue")
 
 
 def zeta_lambda(lam, s, table, x_window=None, rel_tol=1e-8):

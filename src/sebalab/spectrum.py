@@ -19,12 +19,21 @@ solve_range therefore freezes one cutoff per solver chunk — every interval
 in the chunk sees a bound at least as large as its own policy bound — and is
 bit-deterministic for a given configuration, threads or not.
 
-Large ranges use a far-field expansion: lattice points outside a window
+Both modes are solved by one routine, _lockstep: a chunk of intervals
+(512 by default) forms lanes that iterate together, each bisecting down to a
+narrow bracket and then taking Illinois steps (Dowell & Jarratt 1971).  A
+per-lane mask stops evaluating a lane once its bracket is within root_tol,
+and a lane still wider after the step budget raises NoConvergenceError, so
+no root leaves wider than root_tol.  Chunks are fixed by index and may run
+on threads in either mode.
+
+Weak chunks use a far-field expansion: lattice points outside a window
 around the current chunk enter through the moments
 S_k = sum w (n-c)^{-(k+1)}, so each secular evaluation costs O(near + K)
 instead of O(|N|).  With window half-width W >= 4 * max|lam - c| the
 truncated geometric series converges like 4^{-K}; K = 26 keeps that error
-near 1e-13, far below root_tol.
+near 1e-13, far below root_tol.  Strong chunks evaluate each lane's window,
+zero-padded to the chunk's widest, as one matrix.
 """
 
 from __future__ import annotations
@@ -40,7 +49,8 @@ import numpy as np
 from .arithmetic import ArithmeticTable
 
 _FAR_ORDER = 26            # far-field moment count; error ~ (1/4)^K
-_BISECT_WIDTH = 1e-3       # hand over from bisection to secant below this
+_BISECT_WIDTH = 1e-3       # bisect above this bracket width, Illinois below
+_MAX_STEPS = 200           # lockstep step budget per lane
 
 
 class SecularPoleError(ValueError):
@@ -73,7 +83,6 @@ class CutoffPolicy:
 
     multiplier: float = 10.0
     min_span: float = 1.0e4
-    tail_correction: bool = True
 
     def __post_init__(self):
         if self.multiplier < 10.0:
@@ -102,14 +111,15 @@ class CouplingConfig:
         if not 0.0 <= self.beta_b < 1.0:
             raise ValueError("beta_b must lie in [0, 1)")
 
-    def rhs(self, lam: float) -> float:
+    def rhs(self, lam):
+        """Right-hand side at lam, a float or an array of lanes."""
         if self.mode == "weak":
             return self.theta
         if self.beta_b == 0.0:
             return self.beta_c
-        if lam <= 1.0:
+        if np.any(np.asarray(lam) <= 1.0):
             raise ValueError("strong RHS (log lam)^beta_b needs lam > 1 when beta_b > 0")
-        return self.beta_c * math.log(lam) ** self.beta_b
+        return self.beta_c * np.log(lam) ** self.beta_b
 
 
 @dataclass(frozen=True)
@@ -181,13 +191,11 @@ def weak_secular(lam: float, table: ArithmeticTable, config: CouplingConfig,
         raise TruncationError(
             f"cutoff {x:.6g} exceeds sieved x_max={table.x_max}; build a larger table")
     rep = table.representable
-    hi = int(np.searchsorted(rep, x, side="right"))
+    hi = int(np.searchsorted(rep, math.floor(x), side="right"))
     n = rep[:hi].astype(np.float64)
     w = table.r2[rep[:hi]].astype(np.float64)
     value = float(np.dot(w, 1.0 / (n - lam) - n / (n * n + 1.0)))
-    if config.cutoff.tail_correction:
-        value += float(_tail_term(lam, x))
-    return value
+    return value + float(_tail_term(lam, x))
 
 
 def strong_secular(lam: float, j: int, table: ArithmeticTable) -> float:
@@ -198,8 +206,8 @@ def strong_secular(lam: float, j: int, table: ArithmeticTable) -> float:
     if n_j + half > table.x_max:
         raise WindowOverflowError(
             f"window of n_j={n_j} reaches {n_j + half:.1f} > x_max={table.x_max}")
-    lo = int(np.searchsorted(rep, n_j - half, side="left"))
-    hi = int(np.searchsorted(rep, n_j + half, side="right"))
+    lo = int(np.searchsorted(rep, math.ceil(n_j - half), side="left"))
+    hi = int(np.searchsorted(rep, math.floor(n_j + half), side="right"))
     n = rep[lo:hi].astype(np.float64)
     if np.any(n == lam):
         raise SecularPoleError(f"lambda={lam} hits a pole inside the window")
@@ -208,135 +216,78 @@ def strong_secular(lam: float, j: int, table: ArithmeticTable) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scalar root finding: bisection to a narrow bracket, then safeguarded secant
+# root finding: one masked lockstep loop over lanes of brackets
 # ---------------------------------------------------------------------------
 
-def _refine_root(g: Callable[[float], float], lo: float, hi: float,
-                 root_tol: float, max_iter: int = 200) -> float:
-    g_lo = g(lo)
-    g_hi = g(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if g_lo > 0.0 or g_hi < 0.0:
+def _lockstep(g: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
+              tol: float, where: Callable[[int], str]) -> np.ndarray:
+    """Roots of increasing functions, one bracket (lo[k], hi[k]) per lane k.
+
+    g(lams, idx) evaluates the functions of lanes idx at lams.  A lane
+    bisects while its bracket is wider than _BISECT_WIDTH and takes Illinois
+    steps below that (Dowell & Jarratt 1971): the secant point, kept strictly
+    inside the bracket, with the kept endpoint's g halved when the same side
+    moves twice in a row.  A lane stops being evaluated once hi - lo <= tol
+    or g hits 0, and returns its last iterate, which lies in that bracket.
+    where(k) names lane k in error messages.
+    """
+    lo = np.array(lo, dtype=np.float64)
+    hi = np.array(hi, dtype=np.float64)
+    lanes = np.arange(len(lo))
+    g_lo, g_hi = g(lo, lanes), g(hi, lanes)
+    bad = np.flatnonzero(~((g_lo <= 0.0) & (g_hi >= 0.0)))
+    if len(bad):
+        k = int(bad[0])
         raise NoRootError(
-            f"no sign change on [{lo}, {hi}]: g({lo})={g_lo:.3g}, g({hi})={g_hi:.3g}")
-    width_floor = 8.0 * math.ulp(max(abs(lo), abs(hi)))
-    if width_floor > root_tol:
+            f"{where(k)}: no sign change on [{lo[k]}, {hi[k]}]: "
+            f"g(lo)={g_lo[k]:.3g}, g(hi)={g_hi[k]:.3g}")
+    floor = 8.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+    if float(floor.max()) > tol:
+        k = int(np.argmax(floor))
         raise NoConvergenceError(
-            f"root_tol={root_tol} is below the floating resolution "
-            f"~{width_floor:.3g} of this interval")
-    for _ in range(max_iter):
-        if hi - lo <= root_tol:
-            return 0.5 * (lo + hi)
-        if hi - lo > _BISECT_WIDTH:
-            mid = 0.5 * (lo + hi)
-        else:
-            # secant proposal, safeguarded to stay well inside the bracket
-            mid = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-            frac = (mid - lo) / (hi - lo)
-            if not 0.02 <= frac <= 0.98:
-                mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if g_mid == 0.0:
-            return mid
-        if g_mid < 0.0:
-            lo, g_lo = mid, g_mid
-        else:
-            hi, g_hi = mid, g_mid
-    raise NoConvergenceError(
-        f"root_tol={root_tol} not reached in {max_iter} iterations on "
-        f"[{lo}, {hi}] (tolerance may be below floating resolution)")
-
-
-def _inward(a: float, sign: float) -> float:
-    return a + sign * 1e-12 * max(1.0, abs(a))
-
-
-def solve_interval(j: int, table: ArithmeticTable, config: CouplingConfig) -> float:
-    """The unique root of (mode secular)(lam) = RHS on (n_j, n_{j+1}).
-
-    j indexes table.representable.  The weak cutoff is frozen at the value
-    the policy assigns to the right endpoint, which dominates every lam in
-    the interval.
-    """
-    rep = table.representable
-    if not 0 <= j < len(rep) - 1:
-        raise IndexError(f"interval index {j} out of range")
-    n_lo, n_hi = float(rep[j]), float(rep[j + 1])
-    if config.mode == "weak":
-        x = config.cutoff.bound(n_hi)
-        if x > table.x_max:
-            raise TruncationError(
-                f"cutoff {x:.6g} for interval ({n_lo}, {n_hi}) exceeds x_max")
-        hi_idx = int(np.searchsorted(rep, x, side="right"))
-        n = rep[:hi_idx].astype(np.float64)
-        w = table.r2[rep[:hi_idx]].astype(np.float64)
-        base = w * n / (n * n + 1.0)
-        const = -float(base.sum())
-        tail_on = config.cutoff.tail_correction
-
-        def g(lam: float) -> float:
-            v = float(np.dot(w, 1.0 / (n - lam))) + const
-            if tail_on:
-                v += float(_tail_term(lam, x))
-            return v - config.rhs(lam)
-    else:
-        half = math.sqrt(n_lo)
-        if n_lo + half > table.x_max:
-            raise WindowOverflowError(
-                f"window of n_j={n_lo:.0f} exceeds x_max={table.x_max}")
-        lo_idx = int(np.searchsorted(rep, n_lo - half, side="left"))
-        hi_idx = int(np.searchsorted(rep, n_lo + half, side="right"))
-        n = rep[lo_idx:hi_idx].astype(np.float64)
-        w = table.r2[rep[lo_idx:hi_idx]].astype(np.float64)
-
-        def g(lam: float) -> float:
-            return float(np.dot(w, 1.0 / (n - lam))) - config.rhs(lam)
-
-    return _refine_root(g, _inward(n_lo, +1.0), _inward(n_hi, -1.0),
-                        config.root_tol)
-
-
-def solve_ground(table: ArithmeticTable, config: CouplingConfig) -> float:
-    """Root on the ground interval (-inf, n_0): bracket expands leftward.
-
-    Skipped by solve_range (the asymptotics of interest are lam -> +inf);
-    provided for completeness.  In strong mode the window is {0} and the
-    equation -1/lam = beta has a root only for positive RHS.
-    """
-    if config.mode == "weak":
-        def g(lam: float) -> float:
-            return weak_secular(lam, table, config) - config.rhs(lam)
-    else:
-        if config.beta_b != 0.0:
-            raise ValueError("ground interval needs beta_b = 0 (log lam undefined)")
-
-        def g(lam: float) -> float:
-            return strong_secular(lam, 0, table) - config.rhs(lam)
-
-    hi = _inward(0.0, -1.0) - 1e-12
-    lo = -2.0
-    for _ in range(60):
-        if g(lo) < 0.0:
+            f"{where(k)}: root_tol={tol} is below the floating resolution "
+            f"~{floor[k]:.3g} of this interval")
+    hi = np.where(g_lo == 0.0, lo, hi)
+    lo = np.where(g_hi == 0.0, hi, lo)
+    root = 0.5 * (lo + hi)
+    side = np.zeros(len(lo))     # -1 / +1: end moved by the last Illinois step
+    act = np.flatnonzero(hi - lo > tol)
+    for _ in range(_MAX_STEPS):
+        if not len(act):
             break
-        lo *= 2.0
-    else:
-        raise NoRootError("ground-interval bracket did not capture a sign change")
-    return _refine_root(g, lo, hi, config.root_tol)
+        a, b, ga, gb = lo[act], hi[act], g_lo[act], g_hi[act]
+        mid = 0.5 * (a + b)
+        illinois = b - a <= _BISECT_WIDTH
+        x = np.where(illinois, a - ga * (b - a) / (gb - ga), mid)
+        x = np.where((x > a) & (x < b), x, mid)
+        gx = g(x, act)
+        root[act] = x
+        move = np.sign(gx)       # -1: x replaces lo, +1: x replaces hi, 0: root
+        halve = np.where(illinois & (move == side[act]), 0.5, 1.0)
+        lo[act] = np.where(move <= 0.0, x, a)
+        hi[act] = np.where(move >= 0.0, x, b)
+        g_lo[act] = np.where(move < 0.0, gx, halve * ga)
+        g_hi[act] = np.where(move > 0.0, gx, halve * gb)
+        side[act] = np.where(illinois, move, 0.0)
+        act = act[hi[act] - lo[act] > tol]
+    if len(act):
+        k = int(act[0])
+        raise NoConvergenceError(
+            f"{where(k)}: root_tol={tol} not reached in {_MAX_STEPS} steps; "
+            f"bracket [{lo[k]}, {hi[k]}]")
+    return root
 
 
 # ---------------------------------------------------------------------------
-# ranged solving: lockstep vectorized solver over chunks of intervals
+# chunk kernels: lane k of a chunk j_lo..j_hi is interval j_lo + k
 # ---------------------------------------------------------------------------
 
-def _solve_chunk_weak(rep_f: np.ndarray, w_f: np.ndarray, j_lo: int, j_hi: int,
-                      config: CouplingConfig, x_max_table: int) -> np.ndarray:
-    """Solve intervals j_lo..j_hi (inclusive) in lockstep; returns lam array."""
+def _weak_kernel(table: ArithmeticTable, rep_f: np.ndarray, w_f: np.ndarray,
+                 j_lo: int, j_hi: int, config: CouplingConfig):
+    """Near-field matrix plus far-field moment polynomial, one frozen cutoff."""
     lam_top = rep_f[j_hi + 1]
     x = config.cutoff.bound(lam_top)
-    if x > x_max_table:
+    if x > table.x_max:
         raise TruncationError(
             f"cutoff {x:.6g} for intervals up to n={lam_top:.0f} exceeds x_max")
     cut = int(np.searchsorted(rep_f, x, side="right"))
@@ -358,52 +309,115 @@ def _solve_chunk_weak(rep_f: np.ndarray, w_f: np.ndarray, j_lo: int, j_hi: int,
         moments[k] = term.sum()
         term *= inv
     const = -float(np.dot(w, nvals / (nvals * nvals + 1.0)))
-    tail_on = config.cutoff.tail_correction
 
-    def g_vec(lams: np.ndarray) -> np.ndarray:
+    def g(lams: np.ndarray, idx: np.ndarray) -> np.ndarray:
         xs = lams - c
         far = np.full_like(xs, moments[_FAR_ORDER - 1])
         for k in range(_FAR_ORDER - 2, -1, -1):
             far = far * xs + moments[k]
         near = (near_w[None, :] / (near_n[None, :] - lams[:, None])).sum(axis=1)
-        v = near + far + const
-        if tail_on:
-            v = v + _tail_term(lams, x)
-        return v - config.theta
+        return near + far + const + _tail_term(lams, x) - config.theta
+    return g
 
+
+def _strong_kernel(table: ArithmeticTable, rep_f: np.ndarray, w_f: np.ndarray,
+                   j_lo: int, j_hi: int, config: CouplingConfig):
+    """Each lane's window |n - n_j| <= sqrt(n_j), zero-padded to the widest."""
+    rep = table.representable
+    n_j = rep[j_lo:j_hi + 1]
+    half = np.sqrt(n_j)
+    if n_j[-1] + half[-1] > table.x_max:
+        raise WindowOverflowError(
+            f"window of n_j={int(n_j[-1])} exceeds x_max={table.x_max}")
+    # integer keys: a float key would make numpy cast all of rep per call
+    a = np.searchsorted(rep, np.ceil(n_j - half).astype(np.int64), side="left")
+    b = np.searchsorted(rep, np.floor(n_j + half).astype(np.int64), side="right")
+    cols = a[:, None] + np.arange(int((b - a).max()))
+    inside = cols < b[:, None]
+    cols = np.minimum(cols, b[:, None] - 1)
+    near_n = rep_f[cols]
+    near_w = np.where(inside, w_f[cols], 0.0)
+
+    def g(lams: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        near = (near_w[idx] / (near_n[idx] - lams[:, None])).sum(axis=1)
+        return near - config.rhs(lams)
+    return g
+
+
+def _prefix(table: ArithmeticTable, j_hi: int,
+            config: CouplingConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """(n, r2(n)) as floats for the n in N that intervals up to j_hi read."""
+    rep = table.representable
+    if config.mode == "weak":
+        x = config.cutoff.bound(float(rep[j_hi + 1]))
+    else:
+        x = max(float(rep[j_hi + 1]), rep[j_hi] + math.sqrt(rep[j_hi]))
+    k = int(np.searchsorted(rep, math.floor(min(x, table.x_max)), side="right"))
+    return rep[:k].astype(np.float64), table.r2[rep[:k]].astype(np.float64)
+
+
+def _solve_chunk(table: ArithmeticTable, rep_f: np.ndarray, w_f: np.ndarray,
+                 j_lo: int, j_hi: int, config: CouplingConfig) -> np.ndarray:
+    """Roots of intervals j_lo..j_hi (inclusive), solved in lockstep."""
+    kernel = _weak_kernel if config.mode == "weak" else _strong_kernel
+    g = kernel(table, rep_f, w_f, j_lo, j_hi, config)
     left = rep_f[j_lo:j_hi + 1]
     right = rep_f[j_lo + 1:j_hi + 2]
     lo = left + 1e-12 * np.maximum(left, 1.0)
     hi = right - 1e-12 * np.maximum(right, 1.0)
-    g_lo, g_hi = g_vec(lo), g_vec(hi)
+    return _lockstep(g, lo, hi, config.root_tol,
+                     lambda k: f"interval j={j_lo + k} ({left[k]:.0f}, {right[k]:.0f})")
 
-    while float(np.max(hi - lo)) > _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        g_mid = g_vec(mid)
-        neg = g_mid < 0.0
-        lo, g_lo = np.where(neg, mid, lo), np.where(neg, g_mid, g_lo)
-        hi, g_hi = np.where(neg, hi, mid), np.where(neg, g_hi, g_mid)
 
-    tol = config.root_tol
-    floor = 8.0 * np.spacing(np.abs(hi))
-    if float(np.max(floor)) > tol:
-        raise NoConvergenceError(
-            f"root_tol={tol} is below floating resolution ~{float(np.max(floor)):.3g} "
-            f"for intervals near n={rep_f[j_hi + 1]:.0f}")
-    for _ in range(80):
-        width = hi - lo
-        if float(np.max(width)) <= tol:
+def solve_interval(j: int, table: ArithmeticTable, config: CouplingConfig) -> float:
+    """The unique root of (mode secular)(lam) = RHS on (n_j, n_{j+1}).
+
+    j indexes table.representable; the interval is solved as a chunk of one
+    by the same kernels and loop as solve_range.  The weak cutoff is frozen
+    at the value the policy assigns to the right endpoint, which dominates
+    every lam in the interval.
+    """
+    rep = table.representable
+    if not 0 <= j < len(rep) - 1:
+        raise IndexError(f"interval index {j} out of range")
+    rep_f, w_f = _prefix(table, j, config)
+    return float(_solve_chunk(table, rep_f, w_f, j, j, config)[0])
+
+
+def solve_ground(table: ArithmeticTable, config: CouplingConfig) -> float:
+    """Root on the ground interval (-inf, n_0): bracket expands leftward.
+
+    Skipped by solve_range (the asymptotics of interest are lam -> +inf);
+    provided for completeness.  In strong mode the window is {0} and the
+    equation -1/lam = beta has a root only for positive RHS.
+    """
+    if config.mode == "weak":
+        def g1(lam: float) -> float:
+            return weak_secular(lam, table, config) - config.rhs(lam)
+    else:
+        if config.beta_b != 0.0:
+            raise ValueError("ground interval needs beta_b = 0 (log lam undefined)")
+
+        def g1(lam: float) -> float:
+            return strong_secular(lam, 0, table) - config.rhs(lam)
+
+    lo = -2.0
+    for _ in range(60):
+        if g1(lo) < 0.0:
             break
-        denom = g_hi - g_lo
-        frac = np.where(denom > 0.0, -g_lo / np.where(denom > 0.0, denom, 1.0), 0.5)
-        frac = np.clip(frac, 0.02, 0.98)
-        mid = lo + frac * width
-        g_mid = g_vec(mid)
-        neg = g_mid < 0.0
-        lo, g_lo = np.where(neg, mid, lo), np.where(neg, g_mid, g_lo)
-        hi, g_hi = np.where(neg, hi, mid), np.where(neg, g_hi, g_mid)
-    return 0.5 * (lo + hi)
+        lo *= 2.0
+    else:
+        raise NoRootError("ground-interval bracket did not capture a sign change")
 
+    def g(lams: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return np.array([g1(float(lam)) for lam in lams])
+    return float(_lockstep(g, [lo], [-2e-12], config.root_tol,
+                           lambda k: "ground interval")[0])
+
+
+# ---------------------------------------------------------------------------
+# ranged solving: chunks of intervals, optionally on threads
+# ---------------------------------------------------------------------------
 
 def _thread_count(threads: Optional[int]) -> int:
     if threads is not None:
@@ -422,8 +436,8 @@ def solve_range(x_min: int, x_max_solve: int, table: ArithmeticTable,
     One record per consecutive pair; records are sorted by interval index and
     the output is identical for any thread count (chunks are fixed by index,
     each chunk is solved independently, and results are reassembled in
-    order).  Weak mode runs the far-field lockstep solver; strong mode
-    iterates intervals with their local windows.
+    order).  Both modes run the same lockstep loop per chunk: weak mode with
+    the far-field kernel, strong mode with padded local windows.
     """
     rep = table.representable
     if x_max_solve + math.sqrt(max(x_max_solve, 0)) > table.x_max:
@@ -434,35 +448,22 @@ def solve_range(x_min: int, x_max_solve: int, table: ArithmeticTable,
     if i_hi - i_lo < 1:
         raise EmptyWindowError(f"fewer than two elements of N in [{x_min}, {x_max_solve}]")
     js = np.arange(i_lo, i_hi, dtype=np.int64)
+    rep_f, w_f = _prefix(table, i_hi - 1, config)
+    blocks: List[Tuple[int, int]] = [
+        (int(a), int(min(a + chunk - 1, i_hi - 1))) for a in range(i_lo, i_hi, chunk)]
 
-    if config.mode == "weak":
-        rep_f = rep.astype(np.float64)
-        w_f = table.r2[rep].astype(np.float64)
-        blocks: List[Tuple[int, int]] = [
-            (int(a), int(min(a + chunk - 1, i_hi - 1))) for a in range(i_lo, i_hi, chunk)]
+    def run(block: Tuple[int, int]) -> np.ndarray:
+        return _solve_chunk(table, rep_f, w_f, block[0], block[1], config)
 
-        def run(block: Tuple[int, int]) -> np.ndarray:
-            return _solve_chunk_weak(rep_f, w_f, block[0], block[1], config,
-                                     table.x_max)
-
-        n_workers = _thread_count(threads)
-        if n_workers > 1 and len(blocks) > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                parts = list(pool.map(run, blocks))
-        else:
-            parts = [run(b) for b in blocks]
-        lam = np.concatenate(parts)
+    n_workers = _thread_count(threads)
+    if n_workers > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            parts = list(pool.map(run, blocks))
     else:
-        lam = np.empty(len(js))
-        for k, j in enumerate(js):
-            try:
-                lam[k] = solve_interval(int(j), table, config)
-            except (NoRootError, NoConvergenceError) as exc:
-                raise type(exc)(
-                    f"interval j={int(j)} ({int(rep[j])}, {int(rep[j + 1])}): {exc}") from exc
-
+        parts = [run(b) for b in blocks]
     return SebaSpectrum.from_solutions(
-        js, rep[i_lo:i_hi].astype(np.float64), rep[i_lo + 1:i_hi + 1].astype(np.float64), lam)
+        js, rep[i_lo:i_hi].astype(np.float64), rep[i_lo + 1:i_hi + 1].astype(np.float64),
+        np.concatenate(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,23 @@ def test_epstein_value_and_certificate(tmp_path):
     assert abs(rep["value"] - 6.0268120396919401235) < 1e-10
 
 
+def test_epstein_falls_back_to_continuation_below_direct_budget(tmp_path):
+    # at s = 1.5 the direct route would need shells out to radius ~2e11
+    mpmath = pytest.importorskip("mpmath")
+    out = tmp_path / "e.json"
+    assert main(["epstein", "--a", "1", "--s", "1.5", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())["report"]
+    assert rep["method"] == "continued"
+    with mpmath.workdps(30):
+        s = mpmath.mpf(1.5)
+        beta = 4 ** -s * (mpmath.zeta(s, 0.25) - mpmath.zeta(s, 0.75))
+        want = float(4 * mpmath.zeta(s) * beta)
+    # the certificate plus the rounding of the value to a float
+    assert abs(rep["value"] - want) <= (rep["certified_error"]
+                                        + 2.0 ** -52 * abs(want))
+    assert abs(want - 9.03362168310095) < 1e-13
+
+
 def test_unknown_flag_exits_2_without_partial_file(tmp_path):
     out = tmp_path / "never.csv"
     got = run_cli("sieve", "--x-max", "100", "--bogus", "--out", str(out))
@@ -190,6 +207,20 @@ def test_insufficient_zeta_window_is_validation():
     rc = main(["moments", "--x-min", "1000", "--x-max", "2000",
                "--q-grid", "0.6", "--table-max", "5000"])
     assert rc == 2
+
+
+def test_strong_moments_default_table_reaches_twice_lambda(tmp_path):
+    out = tmp_path / "m.csv"
+    got = run_cli("moments", "--x-min", "2500", "--x-max", "5000",
+                  "--mode", "strong", "--limit", "4", "--out", str(out))
+    assert got.returncode == 0, got.stderr
+    meta, header, rows = read_csv(out)
+    cfg = load_config(str(out))
+    assert header[:3] == ["lambda", "delta", "n_tilde"]
+    assert len(rows) == 4
+    lams = [float(r[0]) for r in rows]
+    assert all(2500 < lam < 5000 for lam in lams)
+    assert cfg["table_max"] >= 2 * max(lams)
 
 
 def test_console_entry_point_registered():

@@ -24,6 +24,12 @@ def table():
     return build_table(1_000_000)
 
 
+@pytest.fixture(scope="module")
+def big_table():
+    # the acceptance gate's sieve, where lambda ~ 10^6 roots have full cutoffs
+    return build_table(11_000_000)
+
+
 def toy_table(reps, r2_values, x_max):
     """Hand-built arithmetic table for contrived secular configurations."""
     r2 = np.zeros(x_max + 1, dtype=np.int32)
@@ -261,6 +267,68 @@ def test_solve_range_strong(table):
     j = int(spec.j[len(spec) // 2])
     lam = float(spec.lam[len(spec) // 2])
     assert abs(strong_secular(lam, j, table) - STRONG.beta_c) < 1e-3
+
+
+def _probes(lam, tol):
+    # lam -/+ tol, pushed out one ulp where rounding left them closer
+    lo, hi = lam - tol, lam + tol
+    if lam - lo < tol:
+        lo = math.nextafter(lo, -math.inf)
+    if hi - lam < tol:
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi
+
+
+def test_weak_far_chunk_roots_within_root_tol(big_table):
+    # one 512-interval chunk at theta = -20 near 9.1e5: every root must have
+    # a sign change of the directly summed secular function within root_tol,
+    # at the cutoff the chunk froze (the policy bound at its right end)
+    rep = big_table.representable
+    cfg = CouplingConfig(mode="weak", theta=-20.0)
+    i0 = int(np.searchsorted(rep, 910_000))
+    spec = solve_range(int(rep[i0]), int(rep[i0 + 512]), big_table, cfg)
+    assert len(spec) == 512
+    x = cfg.cutoff.bound(float(rep[i0 + 512]))
+    # weak_secular's sum, with the table columns and the constant hoisted out
+    # of the loop (weak_secular gathers ~2M table entries on every call)
+    cut = rep[:int(np.searchsorted(rep, math.floor(x), side="right"))]
+    n = cut.astype(np.float64)
+    w = big_table.r2[cut].astype(np.float64)
+    rest = -float(np.dot(w, n / (n * n + 1.0))) - cfg.theta
+
+    def g(lam):
+        return (float(np.dot(w, 1.0 / (n - lam))) + rest
+                + math.pi * math.log(math.sqrt(x * x + 1.0) / (x - lam)))
+
+    lam0 = float(spec.lam[0]) + 0.25
+    assert g(lam0) == pytest.approx(
+        weak_secular(lam0, big_table, cfg, x_cutoff=x) - cfg.theta, abs=1e-9)
+    for lam in spec.lam:
+        lo, hi = _probes(float(lam), cfg.root_tol)
+        assert g(lo) <= 0.0 <= g(hi), f"no sign change within root_tol of {lam!r}"
+
+
+def test_strong_roots_within_root_tol_near_900k(big_table):
+    rep = big_table.representable
+    i0 = int(np.searchsorted(rep, 900_000))
+    spec = solve_range(int(rep[i0]), int(rep[i0 + 256]), big_table, STRONG)
+    assert len(spec) == 256
+    for j, lam in zip(spec.j, spec.lam):
+        lo, hi = _probes(float(lam), STRONG.root_tol)
+        assert strong_secular(lo, int(j), big_table) - STRONG.beta_c <= 0.0
+        assert strong_secular(hi, int(j), big_table) - STRONG.beta_c >= 0.0
+
+
+def test_solve_range_strong_names_interval_without_root(table):
+    with pytest.raises(NoRootError, match=r"interval j=2 "):
+        solve_range(2, 10, table, STRONG)
+
+
+def test_solve_range_strong_thread_invariant(table):
+    one = solve_range(2500, 50_000, table, STRONG, threads=1)
+    four = solve_range(2500, 50_000, table, STRONG, threads=4)
+    assert len(one) > 4 * 512
+    assert np.array_equal(one.lam, four.lam)
 
 
 def test_solve_range_window_precondition(table):
