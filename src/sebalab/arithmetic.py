@@ -22,6 +22,7 @@ concurrent readers are safe.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -203,25 +204,52 @@ def landau_ratio(table: ArithmeticTable, x: int) -> float:
 # it) is reconstructed as 0 on load.
 # ---------------------------------------------------------------------------
 
+_CACHE_HEADER = struct.Struct("<IQQ")   # version, x_max, count after the magic
+
+
 def save_table(table: ArithmeticTable, path) -> None:
+    """Write the cache to a temporary file beside path, then os.replace it.
+
+    An interrupted write leaves path as it was (absent or the old cache);
+    the temporary file is removed when the write fails in this process.
+    """
     rep = table.representable
     deltas = np.diff(rep, prepend=0).astype(np.uint32)
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<IQQ", _CACHE_VERSION, table.x_max, len(rep)))
-        fh.write(deltas.astype("<u4").tobytes())
-        fh.write(table.r2[rep].astype("<u4").tobytes())
-        fh.write(table.omega1[rep].astype("u1").tobytes())
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CACHE_MAGIC)
+            fh.write(_CACHE_HEADER.pack(_CACHE_VERSION, table.x_max, len(rep)))
+            fh.write(deltas.astype("<u4").tobytes())
+            fh.write(table.r2[rep].astype("<u4").tobytes())
+            fh.write(table.omega1[rep].astype("u1").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_table(path) -> ArithmeticTable:
+    """Read a cache written by save_table; ValueError on a foreign, truncated
+    or overlong file (its size must match the header's element count)."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _CACHE_MAGIC:
             raise ValueError(f"not an arithmetic cache file: magic {magic!r}")
-        version, x_max, count = struct.unpack("<IQQ", fh.read(20))
+        header = fh.read(_CACHE_HEADER.size)
+        if len(header) != _CACHE_HEADER.size:
+            raise ValueError("truncated arithmetic cache: short header")
+        version, x_max, count = _CACHE_HEADER.unpack(header)
         if version != _CACHE_VERSION:
             raise ValueError(f"unsupported cache version {version}")
+        size = os.fstat(fh.fileno()).st_size
+        want = len(_CACHE_MAGIC) + _CACHE_HEADER.size + 9 * count
+        if size != want:
+            raise ValueError(
+                f"arithmetic cache holds {size} bytes, its header ({count} "
+                f"elements) needs {want}: truncated or corrupt")
         deltas = np.frombuffer(fh.read(4 * count), dtype="<u4")
         r2_rep = np.frombuffer(fh.read(4 * count), dtype="<u4")
         om_rep = np.frombuffer(fh.read(count), dtype="u1")

@@ -281,7 +281,7 @@ def _continued_cached(a: float, s_key: complex, dps: int) -> Tuple[complex, floa
         s = mp.mpmathify(s_key.real) if s_key.imag == 0 else mp.mpc(s_key)
         pi = mp.pi
         bracket = -1 / s - 1 / (1 - s)
-        a2 = a * a
+        a2 = mp.mpf(a) ** 2    # lattice values at working precision, not float64
         m_max = int(math.sqrt(q_cut) / a) + 1
         for m in range(0, m_max + 1):
             q0 = a2 * m * m

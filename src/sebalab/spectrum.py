@@ -20,12 +20,18 @@ in the chunk sees a bound at least as large as its own policy bound — and is
 bit-deterministic for a given configuration, threads or not.
 
 Both modes are solved by one routine, _lockstep: a chunk of intervals
-(512 by default) forms lanes that iterate together, each bisecting down to a
-narrow bracket and then taking Illinois steps (Dowell & Jarratt 1971).  A
-per-lane mask stops evaluating a lane once its bracket is within root_tol,
-and a lane still wider after the step budget raises NoConvergenceError, so
-no root leaves wider than root_tol.  Chunks are fixed by index and may run
-on threads in either mode.
+(512 by default) forms lanes that iterate together.  Each step is the root
+of a model that keeps the secular function's poles at both ends of the
+interval, w_L/(n_L - lam) + w_R/(n_R - lam) with the weights the kernel
+sums, and replaces the rest by the line through its values at the bracket
+ends, as secular-equation solvers do (Bunch, Nielsen & Sorensen 1978;
+R.-C. Li, LAPACK Working Note 89, 1994).  The model root comes from a
+closed-form quadratic and a few Newton steps.  A lane whose same end moves
+twice running is pushed past the model root, and a lane whose bracket has
+not halved in three steps bisects.  A per-lane mask stops evaluating a lane
+once its bracket is within root_tol, and a lane still wider after the step
+budget raises NoConvergenceError, so no root leaves wider than root_tol.
+Chunks are fixed by index and may run on threads in either mode.
 
 Weak chunks use a far-field expansion: lattice points outside a window
 around the current chunk enter through the moments
@@ -49,7 +55,6 @@ import numpy as np
 from .arithmetic import ArithmeticTable
 
 _FAR_ORDER = 26            # far-field moment count; error ~ (1/4)^K
-_BISECT_WIDTH = 1e-3       # bisect above this bracket width, Illinois below
 _MAX_STEPS = 200           # lockstep step budget per lane
 
 
@@ -219,20 +224,52 @@ def strong_secular(lam: float, j: int, table: ArithmeticTable) -> float:
 # root finding: one masked lockstep loop over lanes of brackets
 # ---------------------------------------------------------------------------
 
-def _lockstep(g: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
+def _model_root(a, b, ga, gb, n_l, n_r, w_l, w_r):
+    """Root in [a, b] of the two-pole model of an increasing secular function.
+
+    The model h(a) + slope (x - a) + P(x), with P(x) = w_l/(n_l - x) +
+    w_r/(n_r - x) the poles at the interval's ends and h = g - P, equals g at
+    a and at b.  Its root starts from the quadratic with h frozen at the
+    midpoint and is polished by Newton steps on the model; everything is in
+    d = x - n_l.  A zero weight drops its pole (its n stays outside [a, b]).
+    """
+    alpha, beta, span = a - n_l, b - n_l, n_r - n_l
+    h_a = ga + w_l / alpha - w_r / (n_r - a)
+    h_b = gb + w_l / beta - w_r / (n_r - b)
+    slope = (h_b - h_a) / (beta - alpha)
+    h_m = 0.5 * (h_a + h_b)
+    # h_m d (span - d) - w_l (span - d) + w_r d = 0 has one root in (0, span)
+    q = h_m * span + w_l + w_r
+    disc = np.sqrt(np.maximum(q * q - 4.0 * h_m * w_l * span, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(q >= 0.0, 2.0 * w_l * span / (q + disc), (q - disc) / (2.0 * h_m))
+        d = np.clip(np.where(np.isfinite(d), d, 0.5 * (alpha + beta)), alpha, beta)
+        for _ in range(3):
+            m = h_a + slope * (d - alpha) - w_l / d + w_r / (span - d)
+            dm = slope + w_l / (d * d) + w_r / ((span - d) * (span - d))
+            d = np.clip(np.where(dm > 0.0, d - m / dm, d), alpha, beta)
+    return n_l + d
+
+
+def _lockstep(g: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, poles,
               tol: float, where: Callable[[int], str]) -> np.ndarray:
     """Roots of increasing functions, one bracket (lo[k], hi[k]) per lane k.
 
-    g(lams, idx) evaluates the functions of lanes idx at lams.  A lane
-    bisects while its bracket is wider than _BISECT_WIDTH and takes Illinois
-    steps below that (Dowell & Jarratt 1971): the secant point, kept strictly
-    inside the bracket, with the kept endpoint's g halved when the same side
-    moves twice in a row.  A lane stops being evaluated once hi - lo <= tol
-    or g hits 0, and returns its last iterate, which lies in that bracket.
-    where(k) names lane k in error messages.
+    g(lams, idx) evaluates the functions of lanes idx at lams; poles =
+    (n_l, n_r, w_l, w_r) gives, per lane, the poles w/(n - lam) of g at the
+    ends of its interval, with the weights g actually sums (0: no pole).
+    Every step evaluates g at the root of _model_root, kept at least tol/4
+    inside the bracket.  When the same end moved on the last two steps, the
+    point is pushed past the model root toward the other end, by the model
+    root's distance from the moved end (at least tol/4), four times further
+    on each further repeat.  When the last three steps have not halved the
+    bracket, the step bisects.  A lane stops being evaluated once
+    hi - lo <= tol or g hits 0, and returns its last iterate, which lies in
+    that bracket.  where(k) names lane k in error messages.
     """
     lo = np.array(lo, dtype=np.float64)
     hi = np.array(hi, dtype=np.float64)
+    n_l, n_r, w_l, w_r = (np.asarray(p, dtype=np.float64) for p in poles)
     lanes = np.arange(len(lo))
     g_lo, g_hi = g(lo, lanes), g(hi, lanes)
     bad = np.flatnonzero(~((g_lo <= 0.0) & (g_hi >= 0.0)))
@@ -250,25 +287,32 @@ def _lockstep(g: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
     hi = np.where(g_lo == 0.0, lo, hi)
     lo = np.where(g_hi == 0.0, hi, lo)
     root = 0.5 * (lo + hi)
-    side = np.zeros(len(lo))     # -1 / +1: end moved by the last Illinois step
+    side = np.zeros(len(lo))     # -1 / +1: end moved by the last step
+    streak = np.zeros(len(lo))   # steps in a row that moved that end
+    width = np.full((3, len(lo)), np.inf)   # widths one, two, three steps back
+    inset = 0.25 * tol
     act = np.flatnonzero(hi - lo > tol)
     for _ in range(_MAX_STEPS):
         if not len(act):
             break
         a, b, ga, gb = lo[act], hi[act], g_lo[act], g_hi[act]
-        mid = 0.5 * (a + b)
-        illinois = b - a <= _BISECT_WIDTH
-        x = np.where(illinois, a - ga * (b - a) / (gb - ga), mid)
-        x = np.where((x > a) & (x < b), x, mid)
+        last, run = side[act], streak[act]
+        x = _model_root(a, b, ga, gb, n_l[act], n_r[act], w_l[act], w_r[act])
+        push = np.maximum(inset, np.abs(x - np.where(last < 0.0, a, b)))
+        x = np.where(run >= 2.0, x - last * push * 4.0 ** (run - 2.0), x)
+        x = np.clip(x, a + inset, b - inset)
+        x = np.where(b - a > 0.5 * width[2, act], 0.5 * (a + b), x)
         gx = g(x, act)
         root[act] = x
         move = np.sign(gx)       # -1: x replaces lo, +1: x replaces hi, 0: root
-        halve = np.where(illinois & (move == side[act]), 0.5, 1.0)
         lo[act] = np.where(move <= 0.0, x, a)
         hi[act] = np.where(move >= 0.0, x, b)
-        g_lo[act] = np.where(move < 0.0, gx, halve * ga)
-        g_hi[act] = np.where(move > 0.0, gx, halve * gb)
-        side[act] = np.where(illinois, move, 0.0)
+        g_lo[act] = np.where(move <= 0.0, gx, ga)
+        g_hi[act] = np.where(move >= 0.0, gx, gb)
+        width[1:, act] = width[:-1, act]
+        width[0, act] = b - a
+        streak[act] = np.where(move == last, run + 1.0, 1.0)
+        side[act] = move
         act = act[hi[act] - lo[act] > tol]
     if len(act):
         k = int(act[0])
@@ -320,18 +364,24 @@ def _weak_kernel(table: ArithmeticTable, rep_f: np.ndarray, w_f: np.ndarray,
     return g
 
 
+def _window_keys(n_j: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Integer bounds ceil(n_j - sqrt(n_j)), floor(n_j + sqrt(n_j)) of strong windows."""
+    half = np.sqrt(n_j)
+    return np.ceil(n_j - half).astype(np.int64), np.floor(n_j + half).astype(np.int64)
+
+
 def _strong_kernel(table: ArithmeticTable, rep_f: np.ndarray, w_f: np.ndarray,
                    j_lo: int, j_hi: int, config: CouplingConfig):
     """Each lane's window |n - n_j| <= sqrt(n_j), zero-padded to the widest."""
     rep = table.representable
     n_j = rep[j_lo:j_hi + 1]
-    half = np.sqrt(n_j)
-    if n_j[-1] + half[-1] > table.x_max:
+    if n_j[-1] + math.sqrt(n_j[-1]) > table.x_max:
         raise WindowOverflowError(
             f"window of n_j={int(n_j[-1])} exceeds x_max={table.x_max}")
+    key_lo, key_hi = _window_keys(n_j)
     # integer keys: a float key would make numpy cast all of rep per call
-    a = np.searchsorted(rep, np.ceil(n_j - half).astype(np.int64), side="left")
-    b = np.searchsorted(rep, np.floor(n_j + half).astype(np.int64), side="right")
+    a = np.searchsorted(rep, key_lo, side="left")
+    b = np.searchsorted(rep, key_hi, side="right")
     cols = a[:, None] + np.arange(int((b - a).max()))
     inside = cols < b[:, None]
     cols = np.minimum(cols, b[:, None] - 1)
@@ -363,9 +413,14 @@ def _solve_chunk(table: ArithmeticTable, rep_f: np.ndarray, w_f: np.ndarray,
     g = kernel(table, rep_f, w_f, j_lo, j_hi, config)
     left = rep_f[j_lo:j_hi + 1]
     right = rep_f[j_lo + 1:j_hi + 2]
+    w_left = w_f[j_lo:j_hi + 1]
+    w_right = w_f[j_lo + 1:j_hi + 2]
+    if config.mode == "strong":
+        # a strong window may stop short of n_{j+1}; g then has no pole there
+        w_right = np.where(right <= _window_keys(left)[1], w_right, 0.0)
     lo = left + 1e-12 * np.maximum(left, 1.0)
     hi = right - 1e-12 * np.maximum(right, 1.0)
-    return _lockstep(g, lo, hi, config.root_tol,
+    return _lockstep(g, lo, hi, (left, right, w_left, w_right), config.root_tol,
                      lambda k: f"interval j={j_lo + k} ({left[k]:.0f}, {right[k]:.0f})")
 
 
@@ -411,7 +466,9 @@ def solve_ground(table: ArithmeticTable, config: CouplingConfig) -> float:
 
     def g(lams: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return np.array([g1(float(lam)) for lam in lams])
-    return float(_lockstep(g, [lo], [-2e-12], config.root_tol,
+    # only the pole r2(0)/(0 - lam) at the right end; the left one is a dummy
+    poles = ([2.0 * lo], [0.0], [0.0], [float(table.r2[0])])
+    return float(_lockstep(g, [lo], [-2e-12], poles, config.root_tol,
                            lambda k: "ground interval")[0])
 
 

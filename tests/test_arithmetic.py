@@ -161,6 +161,43 @@ def test_cache_rejects_garbage():
             load_table(path)
 
 
+def test_cache_rejects_truncated_and_overlong_files(tmp_path):
+    path = tmp_path / "arith.bin"
+    save_table(build_table(5000), path)
+    whole = path.read_bytes()
+    # a prefix is what a write cut off part-way leaves: inside the header,
+    # inside the element arrays, one byte short
+    for size in (10, len(whole) // 2, len(whole) - 1):
+        path.write_bytes(whole[:size])
+        with pytest.raises(ValueError):
+            load_table(path)
+    path.write_bytes(whole + b"\x00")
+    with pytest.raises(ValueError):
+        load_table(path)
+
+
+def test_interrupted_save_keeps_the_old_cache(tmp_path, monkeypatch):
+    path = tmp_path / "arith.bin"
+    old = build_table(2000)
+    save_table(old, path)
+    before = path.read_bytes()
+
+    class Interrupted(Exception):
+        pass
+
+    def cut(*args):
+        raise Interrupted
+
+    monkeypatch.setattr(os, "replace", cut)
+    with pytest.raises(Interrupted):
+        save_table(build_table(5000), path)
+    monkeypatch.undo()
+    # the target is untouched and the half-done temporary file is gone
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["arith.bin"]
+    assert np.array_equal(load_table(path).representable, old.representable)
+
+
 def test_tiny_tables():
     t0 = build_table(0)
     assert list(t0.representable) == [0]

@@ -132,6 +132,34 @@ def test_continued_negative_on_subcritical_interval():
             assert epstein_continued(form, s).value < 0
 
 
+def chowla_selberg(a: float, s: float, dps: int = 40) -> float:
+    """zeta_Q(s) of a^2 m^2 + a^-2 n^2 by the Chowla-Selberg formula (a >= 1,
+    real s > 1/2, s != 1): the m = 0 row, the Poisson-summed rows as
+    zeta(2s-1), and the K-Bessel series, cut where K_{s-1/2}(2 pi N a^2) is
+    below e^-60."""
+    with mp.workdps(dps):
+        a, s = mp.mpf(a), mp.mpf(s)
+        nu = s - mp.mpf(1) / 2
+        val = (2 * a ** (2 * s) * mp.zeta(2 * s) + 2 * mp.sqrt(mp.pi) * a ** (2 - 2 * s)
+               * mp.gamma(nu) * mp.zeta(2 * s - 1) / mp.gamma(s))
+        bessel = mp.mpf(0)
+        for n in range(1, int(60 / (2 * math.pi * float(a) ** 2)) + 2):
+            divisors = sum((mp.mpf(k) ** 2 / (a * a * n)) ** nu
+                           for k in range(1, n + 1) if n % k == 0)
+            bessel += divisors * mp.besselk(nu, 2 * mp.pi * n * a * a)
+        return float(val + 8 * mp.pi ** s * a ** (2 * s) / mp.gamma(s) * bessel)
+
+
+def test_continued_within_certificate_at_irrational_aspect():
+    # the lattice values a^2 m^2 + n^2/a^2 must be formed at working
+    # precision: rounded to float64 they put this value 5 ulp off, outside
+    # its certificate
+    a = 1.4477750617969067
+    v = epstein_continued(RectangularForm(a), 3.0)
+    want = chowla_selberg(a, 3.0)
+    assert abs(v.value - want) <= v.certified_error + 4 * 2.0 ** -53 * abs(want)
+
+
 # -------------------------------------------------------------------- phi --
 
 def test_phi_basics():

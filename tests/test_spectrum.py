@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sebalab import spectrum
 from sebalab.arithmetic import ArithmeticTable, build_table
 from sebalab.spectrum import (CouplingConfig, CutoffPolicy, EmptyWindowError,
                               NoConvergenceError, NoRootError, SebaSpectrum,
@@ -317,6 +318,60 @@ def test_strong_roots_within_root_tol_near_900k(big_table):
         lo, hi = _probes(float(lam), STRONG.root_tol)
         assert strong_secular(lo, int(j), big_table) - STRONG.beta_c <= 0.0
         assert strong_secular(hi, int(j), big_table) - STRONG.beta_c >= 0.0
+
+
+@pytest.fixture
+def lane_evals(monkeypatch):
+    """Counts the lane evaluations of every g the chunk kernels return."""
+    evals = [0]
+
+    def counted(kernel):
+        def make(*args):
+            g = kernel(*args)
+
+            def g_counted(lams, idx):
+                evals[0] += len(lams)
+                return g(lams, idx)
+            return g_counted
+        return make
+
+    monkeypatch.setattr(spectrum, "_weak_kernel", counted(spectrum._weak_kernel))
+    monkeypatch.setattr(spectrum, "_strong_kernel", counted(spectrum._strong_kernel))
+    return evals
+
+
+def test_strong_roots_where_window_excludes_right_neighbour(lane_evals):
+    # n_j = 2, 5, 20: n_{j+1} = 4, 8, 25 lies outside |n - n_j| <= sqrt(n_j),
+    # so g has no pole at the right end; beta_c = -8 puts a root inside.  A
+    # model that puts a pole there still converges through its bisection
+    # steps, but needs 16 evaluations per root
+    t = _SMALL_TABLE
+    cfg = CouplingConfig(mode="strong", beta_c=-8.0)
+    for j in (2, 4, 12):
+        n_j, n_next = int(t.representable[j]), int(t.representable[j + 1])
+        assert n_next - n_j > math.sqrt(n_j)
+        lane_evals[0] = 0
+        lam = solve_interval(j, t, cfg)
+        assert n_j < lam < n_next
+        assert lane_evals[0] <= 12
+        lo, hi = _probes(lam, cfg.root_tol)
+        assert strong_secular(lo, j, t) - cfg.beta_c <= 0.0
+        assert strong_secular(hi, j, t) - cfg.beta_c >= 0.0
+
+
+def test_lane_evaluations_per_root(table, big_table, lane_evals):
+    # the pole-aware step needs about 7-8 evaluations of each lane's g per
+    # root (two of them at the interval ends); bisecting to a narrow bracket
+    # first needs 18-20
+    rep = big_table.representable
+    i0 = int(np.searchsorted(rep, 910_000))
+    cases = [(1000, 30_000, table, WEAK), (2500, 30_000, table, STRONG),
+             (int(rep[i0]), int(rep[i0 + 512]), big_table,
+              CouplingConfig(mode="weak", theta=-20.0))]
+    for x_lo, x_hi, t, cfg in cases:
+        lane_evals[0] = 0
+        spec = solve_range(x_lo, x_hi, t, cfg)
+        assert lane_evals[0] / len(spec) <= 10.0, (cfg, lane_evals[0] / len(spec))
 
 
 def test_solve_range_strong_names_interval_without_root(table):
