@@ -110,7 +110,9 @@ def build_table(x_max: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Arith
     bad = np.zeros(n_total, dtype=bool)      # odd exponent at some p = 3 mod 4
     omega1 = np.zeros(n_total, dtype=np.int8)
 
-    chunk = 2_000_000
+    # the peel state of one chunk sets the peak memory: on the 11M sieve
+    # 1M-element chunks peak ~24 MB below 2M-element ones, at the same speed
+    chunk = 1_000_000
     for lo in range(2, n_total, chunk):
         hi = min(lo + chunk, n_total)
         rem = np.arange(lo, hi, dtype=np.int64)
