@@ -37,9 +37,13 @@ _HALF_LOG2 = 0.34657359027997264  # (1/2) log 2, the normal-order exponent of lo
 _CACHE_MAGIC = b"SEBA"
 _CACHE_VERSION = 1
 
-# Peak transient memory of build_table is ~18 bytes per integer (spf table,
-# peel state and the result arrays together).
-_BYTES_PER_N = 18
+# Peak memory of build_table, from tracemalloc: the dense arrays, their
+# temporaries and the index of N take up to 20 bytes per integer (19.5 at
+# x_max = 11M, 18.7 at 22M), and the peel state of one sieve chunk a fixed
+# 81 bytes per chunk element (80.2 MB at x_max = 1M, a single chunk).
+_SIEVE_CHUNK = 1_000_000
+_BYTES_PER_N = 20
+_BYTES_PER_CHUNK_N = 81
 DEFAULT_MEMORY_BUDGET = 2 * 1024 ** 3
 
 
@@ -86,6 +90,12 @@ def _smallest_prime_factor(x_max: int) -> np.ndarray:
     return spf
 
 
+def _sieve_bytes(x_max: int) -> int:
+    """Upper estimate of the peak memory build_table(x_max) allocates."""
+    n_total = x_max + 1
+    return _BYTES_PER_N * n_total + _BYTES_PER_CHUNK_N * min(n_total, _SIEVE_CHUNK)
+
+
 def build_table(x_max: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> ArithmeticTable:
     """Sieve r2, omega1 and the representable set on [0, x_max].
 
@@ -93,9 +103,9 @@ def build_table(x_max: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Arith
     """
     if x_max < 0:
         raise ValueError("x_max must be >= 0")
-    if (x_max + 1) * _BYTES_PER_N > memory_budget:
+    if _sieve_bytes(x_max) > memory_budget:
         raise CapacityError(
-            f"x_max={x_max} needs ~{(x_max + 1) * _BYTES_PER_N} bytes, "
+            f"x_max={x_max} needs ~{_sieve_bytes(x_max)} bytes, "
             f"budget is {memory_budget}")
 
     n_total = x_max + 1
@@ -112,9 +122,8 @@ def build_table(x_max: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Arith
 
     # the peel state of one chunk sets the peak memory: on the 11M sieve
     # 1M-element chunks peak ~24 MB below 2M-element ones, at the same speed
-    chunk = 1_000_000
-    for lo in range(2, n_total, chunk):
-        hi = min(lo + chunk, n_total)
+    for lo in range(2, n_total, _SIEVE_CHUNK):
+        hi = min(lo + _SIEVE_CHUNK, n_total)
         rem = np.arange(lo, hi, dtype=np.int64)
         pos = np.arange(lo, hi, dtype=np.int64)
         active = np.nonzero(rem > 1)[0]

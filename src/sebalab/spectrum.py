@@ -33,13 +33,22 @@ once its bracket is within root_tol, and a lane still wider after the step
 budget raises NoConvergenceError, so no root leaves wider than root_tol.
 Chunks are fixed by index and may run on threads in either mode.
 
-Weak chunks use a far-field expansion: lattice points outside a window
-around the current chunk enter through the moments
-S_k = sum w (n-c)^{-(k+1)}, so each secular evaluation costs O(near + K)
-instead of O(|N|).  With window half-width W >= 4 * max|lam - c| the
-truncated geometric series converges like 4^{-K}; K = 26 keeps that error
-near 1e-13, far below root_tol.  Strong chunks evaluate each lane's window,
-zero-padded to the chunk's widest, as one matrix.
+Weak chunks use a two-level kernel in the manner of the 1D fast multipole
+method (Greengard & Rokhlin, J. Comput. Phys. 73, 1987).  Lattice points
+outside a window of half-width W = max(4 * half-span, 64) around the chunk
+centre c enter through the local expansion sum_k S_k (lam - c)^k with
+S_k = sum w (n-c)^{-(k+1)}.  Each sub-block of 32 lanes sums directly only
+the points within its own such window, clamped to the chunk's, and takes
+the rest of the chunk's window from a second local expansion about its own
+centre.  An evaluation costs O(sub-block window + K), not O(|N|).  Every
+expanded point lies at least 4 * max|lam - centre| from its centre and
+enters order k only while (half-span/|n - centre|)^k > 4^-K, so its series
+is cut off with an error below (4/3) 4^-K w/|n - centre|: with K = 26, at
+most 3e-16 of the point's own term.  The first orders see the whole prefix
+of N, later ones a shrinking range on each side.  The constant
+sum w n/(n^2+1) comes from pairwise block sums taken once per solve.
+Strong chunks evaluate each lane's window, zero-padded to the chunk's
+widest, as one matrix.
 """
 
 from __future__ import annotations
@@ -54,7 +63,13 @@ import numpy as np
 
 from .arithmetic import ArithmeticTable
 
-_FAR_ORDER = 26            # far-field moment count; error ~ (1/4)^K
+# Weak kernels expand lattice points about the chunk centre (outside the
+# chunk's window) and about sub-block centres (the rest of that window).  A
+# point enters order k only while (half-span/|n - centre|)^k > 4^-K, so its
+# series is cut off with an error below (4/3) 4^-K w/|n - centre|.
+_FAR_ORDER = 26            # K, the order of both local expansions
+_SUB_BLOCK = 32            # lanes per sub-block of a weak chunk
+_CONST_BLOCK = 4096        # points per pairwise block sum of the weak constant
 _MAX_STEPS = 200           # lockstep step budget per lane
 
 
@@ -326,9 +341,52 @@ def _lockstep(g: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, poles,
 # chunk kernels: lane k of a chunk j_lo..j_hi is interval j_lo + k
 # ---------------------------------------------------------------------------
 
-def _weak_kernel(table: ArithmeticTable, rep_f: np.ndarray, w_f: np.ndarray,
+def _padded(n: np.ndarray, w: np.ndarray, a: np.ndarray,
+            b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows n[a[r]:b[r]] with their weights, zero-padded to the widest row."""
+    cols = a[:, None] + np.arange(int((b - a).max()))
+    inside = cols < b[:, None]
+    cols = np.minimum(cols, b[:, None] - 1)
+    return n[cols], np.where(inside, w[cols], 0.0)
+
+
+def _local_moments(n: np.ndarray, w: np.ndarray, c: np.ndarray, half: np.ndarray,
+                   own: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """Local expansions of sum_p w_p/(n_p - lam) about centres c[r], |lam - c[r]| <= half[r].
+
+    Returns m of shape (K, rows) with m[k, r] = sum_p w_p (n_p - c[r])^{-(k+1)},
+    so the sum is sum_k m[k, r] (lam - c[r])^k.  n is ascending; row r leaves
+    out the points n[own[r][0]:own[r][1]], which its caller sums directly, and
+    every other point lies at least 4*half[r] from c[r].  A point enters order
+    k only while (half/|n - c|)^k > 4^-K for some row, so the first orders see
+    every point and later ones a shrinking index range on each side.
+    """
+    inv = n[None, :] - c[:, None]
+    for r, (a, b) in enumerate(own):
+        inv[r, a:b] = np.inf
+    np.divide(1.0, inv, out=inv)
+    term = w * inv
+    m = np.empty((_FAR_ORDER, len(c)))
+    a, b = 0, len(n)
+    for k in range(_FAR_ORDER):
+        if k:
+            reach = half * 4.0 ** (_FAR_ORDER / k)
+            a = int(np.searchsorted(n, (c - reach).min(), side="right"))
+            b = int(np.searchsorted(n, (c + reach).max(), side="left"))
+            term[:, a:b] *= inv[:, a:b]
+        m[k] = term[:, a:b].sum(axis=1)
+    return m
+
+
+def _weak_kernel(table: ArithmeticTable, prefix: Tuple[np.ndarray, ...],
                  j_lo: int, j_hi: int, config: CouplingConfig):
-    """Near-field matrix plus far-field moment polynomial, one frozen cutoff."""
+    """Two-level far-field kernel at one frozen cutoff.
+
+    The chunk expands the points outside its window about its centre; each
+    sub-block of _SUB_BLOCK lanes sums its own window directly and expands
+    the rest of the chunk's window about its own centre.
+    """
+    rep_f, w_f, sums = prefix
     lam_top = rep_f[j_hi + 1]
     x = config.cutoff.bound(lam_top)
     if x > table.x_max:
@@ -337,30 +395,39 @@ def _weak_kernel(table: ArithmeticTable, rep_f: np.ndarray, w_f: np.ndarray,
     cut = int(np.searchsorted(rep_f, x, side="right"))
     nvals, w = rep_f[:cut], w_f[:cut]
 
-    c = 0.5 * (rep_f[j_lo] + rep_f[j_hi + 1])
-    window = max(4.0 * (rep_f[j_hi + 1] - rep_f[j_lo]) / 2.0, 64.0)
-    i0 = int(np.searchsorted(nvals, c - window, side="left"))
-    i1 = int(np.searchsorted(nvals, c + window, side="right"))
-    near_n, near_w = nvals[i0:i1], w[i0:i1]
+    def window(left, right):
+        # centre, half-span and direct-sum reach of lanes spanning [left, right]
+        half = 0.5 * (right - left)
+        return 0.5 * (left + right), half, np.maximum(4.0 * half, 64.0)
 
-    # far-field moments S_k = sum w (n-c)^{-(k+1)}; |lam-c| <= window/4
-    far_d = np.concatenate((nvals[:i0], nvals[i1:])) - c
-    far_w = np.concatenate((w[:i0], w[i1:]))
-    inv = 1.0 / far_d
-    moments = np.empty(_FAR_ORDER)
-    term = far_w * inv
-    for k in range(_FAR_ORDER):
-        moments[k] = term.sum()
-        term *= inv
-    const = -float(np.dot(w, nvals / (nvals * nvals + 1.0)))
+    c, half, reach = window(rep_f[j_lo], rep_f[j_hi + 1])
+    i0 = int(np.searchsorted(nvals, c - reach, side="left"))
+    i1 = int(np.searchsorted(nvals, c + reach, side="right"))
+    far = _local_moments(nvals, w, np.array([c]), np.array([half]), [(i0, i1)])[:, 0]
+    q = cut // _CONST_BLOCK
+    const = -float(sums[:q].sum() + _const_terms(nvals[q * _CONST_BLOCK:],
+                                                  w[q * _CONST_BLOCK:]).sum())
+
+    # sub-blocks: direct sums over their own windows, clamped to the chunk's,
+    # zero-padded to the widest; the rest of the chunk's window is a ring
+    starts = np.arange(j_lo, j_hi + 1, _SUB_BLOCK)
+    stops = np.minimum(starts + _SUB_BLOCK, j_hi + 1)
+    c_sub, half_sub, reach_sub = window(rep_f[starts], rep_f[stops])
+    win_n, win_w = nvals[i0:i1], w[i0:i1]
+    a = np.searchsorted(win_n, c_sub - reach_sub, side="left")
+    b = np.searchsorted(win_n, c_sub + reach_sub, side="right")
+    ring = _local_moments(win_n, win_w, c_sub, half_sub, list(zip(a, b)))
+    near_n, near_w = _padded(win_n, win_w, a, b)
 
     def g(lams: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        xs = lams - c
-        far = np.full_like(xs, moments[_FAR_ORDER - 1])
+        sub = idx // _SUB_BLOCK
+        xs, xb, coef = lams - c, lams - c_sub[sub], ring[:, sub]
+        outer, inner = np.full_like(xs, far[-1]), coef[-1]
         for k in range(_FAR_ORDER - 2, -1, -1):
-            far = far * xs + moments[k]
-        near = (near_w[None, :] / (near_n[None, :] - lams[:, None])).sum(axis=1)
-        return near + far + const + _tail_term(lams, x) - config.theta
+            outer = outer * xs + far[k]
+            inner = inner * xb + coef[k]
+        near = (near_w[sub] / (near_n[sub] - lams[:, None])).sum(axis=1)
+        return near + inner + outer + const + _tail_term(lams, x) - config.theta
     return g
 
 
@@ -370,9 +437,10 @@ def _window_keys(n_j: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.ceil(n_j - half).astype(np.int64), np.floor(n_j + half).astype(np.int64)
 
 
-def _strong_kernel(table: ArithmeticTable, rep_f: np.ndarray, w_f: np.ndarray,
+def _strong_kernel(table: ArithmeticTable, prefix: Tuple[np.ndarray, ...],
                    j_lo: int, j_hi: int, config: CouplingConfig):
     """Each lane's window |n - n_j| <= sqrt(n_j), zero-padded to the widest."""
+    rep_f, w_f, _ = prefix
     rep = table.representable
     n_j = rep[j_lo:j_hi + 1]
     if n_j[-1] + math.sqrt(n_j[-1]) > table.x_max:
@@ -382,11 +450,7 @@ def _strong_kernel(table: ArithmeticTable, rep_f: np.ndarray, w_f: np.ndarray,
     # integer keys: a float key would make numpy cast all of rep per call
     a = np.searchsorted(rep, key_lo, side="left")
     b = np.searchsorted(rep, key_hi, side="right")
-    cols = a[:, None] + np.arange(int((b - a).max()))
-    inside = cols < b[:, None]
-    cols = np.minimum(cols, b[:, None] - 1)
-    near_n = rep_f[cols]
-    near_w = np.where(inside, w_f[cols], 0.0)
+    near_n, near_w = _padded(rep_f, w_f, a, b)
 
     def g(lams: np.ndarray, idx: np.ndarray) -> np.ndarray:
         near = (near_w[idx] / (near_n[idx] - lams[:, None])).sum(axis=1)
@@ -394,23 +458,38 @@ def _strong_kernel(table: ArithmeticTable, rep_f: np.ndarray, w_f: np.ndarray,
     return g
 
 
+def _const_terms(n: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return w * (n / (n * n + 1.0))
+
+
 def _prefix(table: ArithmeticTable, j_hi: int,
-            config: CouplingConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """(n, r2(n)) as floats for the n in N that intervals up to j_hi read."""
+            config: CouplingConfig) -> Tuple[np.ndarray, ...]:
+    """(n, r2(n)) as floats for the n in N that intervals up to j_hi read.
+
+    Weak mode adds the pairwise sums of r2(n) n/(n^2+1) over consecutive
+    blocks of _CONST_BLOCK points (None in strong mode), so each chunk's
+    constant costs O(|N|/_CONST_BLOCK + _CONST_BLOCK).
+    """
     rep = table.representable
     if config.mode == "weak":
         x = config.cutoff.bound(float(rep[j_hi + 1]))
     else:
         x = max(float(rep[j_hi + 1]), rep[j_hi] + math.sqrt(rep[j_hi]))
     k = int(np.searchsorted(rep, math.floor(min(x, table.x_max)), side="right"))
-    return rep[:k].astype(np.float64), table.r2[rep[:k]].astype(np.float64)
+    n, w = rep[:k].astype(np.float64), table.r2[rep[:k]].astype(np.float64)
+    sums = None
+    if config.mode == "weak":
+        full = k - k % _CONST_BLOCK
+        sums = _const_terms(n[:full], w[:full]).reshape(-1, _CONST_BLOCK).sum(axis=1)
+    return n, w, sums
 
 
-def _solve_chunk(table: ArithmeticTable, rep_f: np.ndarray, w_f: np.ndarray,
+def _solve_chunk(table: ArithmeticTable, prefix: Tuple[np.ndarray, ...],
                  j_lo: int, j_hi: int, config: CouplingConfig) -> np.ndarray:
     """Roots of intervals j_lo..j_hi (inclusive), solved in lockstep."""
     kernel = _weak_kernel if config.mode == "weak" else _strong_kernel
-    g = kernel(table, rep_f, w_f, j_lo, j_hi, config)
+    g = kernel(table, prefix, j_lo, j_hi, config)
+    rep_f, w_f, _ = prefix
     left = rep_f[j_lo:j_hi + 1]
     right = rep_f[j_lo + 1:j_hi + 2]
     w_left = w_f[j_lo:j_hi + 1]
@@ -435,8 +514,7 @@ def solve_interval(j: int, table: ArithmeticTable, config: CouplingConfig) -> fl
     rep = table.representable
     if not 0 <= j < len(rep) - 1:
         raise IndexError(f"interval index {j} out of range")
-    rep_f, w_f = _prefix(table, j, config)
-    return float(_solve_chunk(table, rep_f, w_f, j, j, config)[0])
+    return float(_solve_chunk(table, _prefix(table, j, config), j, j, config)[0])
 
 
 def solve_ground(table: ArithmeticTable, config: CouplingConfig) -> float:
@@ -494,8 +572,11 @@ def solve_range(x_min: int, x_max_solve: int, table: ArithmeticTable,
     the output is identical for any thread count (chunks are fixed by index,
     each chunk is solved independently, and results are reassembled in
     order).  Both modes run the same lockstep loop per chunk: weak mode with
-    the far-field kernel, strong mode with padded local windows.
+    the two-level kernel, strong mode with padded local windows.  chunk, the
+    number of intervals per chunk, must be at least 1.
     """
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1 interval, got {chunk}")
     rep = table.representable
     if x_max_solve + math.sqrt(max(x_max_solve, 0)) > table.x_max:
         raise WindowOverflowError(
@@ -505,12 +586,12 @@ def solve_range(x_min: int, x_max_solve: int, table: ArithmeticTable,
     if i_hi - i_lo < 1:
         raise EmptyWindowError(f"fewer than two elements of N in [{x_min}, {x_max_solve}]")
     js = np.arange(i_lo, i_hi, dtype=np.int64)
-    rep_f, w_f = _prefix(table, i_hi - 1, config)
+    prefix = _prefix(table, i_hi - 1, config)
     blocks: List[Tuple[int, int]] = [
         (int(a), int(min(a + chunk - 1, i_hi - 1))) for a in range(i_lo, i_hi, chunk)]
 
     def run(block: Tuple[int, int]) -> np.ndarray:
-        return _solve_chunk(table, rep_f, w_f, block[0], block[1], config)
+        return _solve_chunk(table, prefix, block[0], block[1], config)
 
     n_workers = _thread_count(threads)
     if n_workers > 1 and len(blocks) > 1:

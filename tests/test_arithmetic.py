@@ -1,12 +1,14 @@
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sebalab import arithmetic
 from sebalab.arithmetic import (ArithmeticTable, CapacityError, RangeError,
                                 build_table, f_value, landau_ratio, load_table,
                                 normal_order_filter, omega1_histogram,
@@ -124,6 +126,21 @@ def test_landau_ratio_sane(table):
 def test_capacity_error():
     with pytest.raises(CapacityError):
         build_table(10 ** 9, memory_budget=10 ** 6)
+
+
+def test_capacity_estimate_covers_traced_peak():
+    # at 2M the fixed peel state of a 1M-element chunk is most of the peak
+    # (90 MB traced, 45 B/n), which a per-n estimate alone misses
+    x = 2_000_000
+    tracemalloc.start()
+    try:
+        build_table(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= arithmetic._sieve_bytes(x)
+    # the 10^8 sieve that a weak solve to 10^7 needs fits the default budget
+    assert arithmetic._sieve_bytes(10 ** 8) <= arithmetic.DEFAULT_MEMORY_BUDGET
 
 
 def test_range_errors(table):

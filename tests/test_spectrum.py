@@ -374,6 +374,91 @@ def test_lane_evaluations_per_root(table, big_table, lane_evals):
         assert lane_evals[0] / len(spec) <= 10.0, (cfg, lane_evals[0] / len(spec))
 
 
+@pytest.fixture
+def weak_kernels(monkeypatch):
+    """(g, j_lo, j_hi, config) of every weak chunk kernel the solvers build."""
+    built = []
+    kernel = spectrum._weak_kernel
+
+    def capture(table, prefix, j_lo, j_hi, config):
+        g = kernel(table, prefix, j_lo, j_hi, config)
+        built.append((g, j_lo, j_hi, config))
+        return g
+    monkeypatch.setattr(spectrum, "_weak_kernel", capture)
+    return built
+
+
+@pytest.mark.parametrize("case", ["theta-20 at 910k", "theta0 near 3e4",
+                                  "chunk=100", "solve_interval"])
+def test_weak_kernel_matches_direct_sum(case, table, big_table, weak_kernels):
+    # every lane's g, at the midpoint of its interval, against the directly
+    # summed weak secular function at the chunk's frozen cutoff.  Bound per
+    # lane: each expanded point keeps its geometric series while
+    # (half/|n - c|)^k > 4^-26, at ratio |lam - c|/|n - c| <= 1/4, so it is
+    # off by at most (4/3) 4^-26 w/|n - c| <= (5/3) 4^-26 w/|n - lam|; each
+    # side adds up to ~2M terms pairwise (numpy sums 128-element leaves in 8
+    # lanes: 19 + log2(N/128) roundings deep, one more forming a term), so
+    # each errs by at most (13 + log2 N) u sum|terms|.  At midpoints no pole
+    # is nearer than half a gap, so sum|terms| < 350 and the bound stays
+    # below 3e-12; the differences seen are below 1e-13.
+    rep = big_table.representable if case == "theta-20 at 910k" else table.representable
+    if case == "theta-20 at 910k":
+        t, cfg = big_table, CouplingConfig(mode="weak", theta=-20.0)
+        i0 = int(np.searchsorted(rep, 910_000))
+        spec = solve_range(int(rep[i0]), int(rep[i0 + 512]), t, cfg)
+    elif case == "theta0 near 3e4":
+        t, cfg = table, WEAK
+        i0 = int(np.searchsorted(rep, 30_000))
+        spec = solve_range(int(rep[i0]), int(rep[i0 + 512]), t, cfg)
+    elif case == "chunk=100":
+        # 250 intervals: chunks of 100, 100 and 50 lanes, each ending in a
+        # partial sub-block
+        t, cfg = table, CouplingConfig(mode="weak", theta=-3.0)
+        i0 = int(np.searchsorted(rep, 20_000))
+        spec = solve_range(int(rep[i0]), int(rep[i0 + 250]), t, cfg, chunk=100)
+        assert [hi - lo + 1 for _, lo, hi, _ in weak_kernels] == [100, 100, 50]
+    else:
+        t, cfg = table, WEAK
+        solve_interval(int(np.searchsorted(rep, 40_000)), t, cfg)
+    assert case == "solve_interval" or len(spec) == sum(
+        hi - lo + 1 for _, lo, hi, _ in weak_kernels)
+    u = np.finfo(np.float64).eps / 2
+    for g, j_lo, j_hi, c in weak_kernels:
+        x = c.cutoff.bound(float(rep[j_hi + 1]))
+        cut = rep[:int(np.searchsorted(rep, math.floor(x), side="right"))]
+        n = cut.astype(np.float64)
+        w = t.r2[cut].astype(np.float64)
+        const = w * n / (n * n + 1.0)
+        lams = 0.5 * (rep[j_lo:j_hi + 1] + rep[j_lo + 1:j_hi + 2]).astype(np.float64)
+        fast = g(lams, np.arange(len(lams)))
+        const_sum, poles = const.sum(), np.empty_like(n)
+        for lam, got in zip(lams, fast):
+            np.divide(w, np.subtract(n, lam, out=poles), out=poles)
+            k = int(np.searchsorted(n, lam))
+            below, above = poles[:k].sum(), poles[k:].sum()
+            want = (below + above - const_sum - cfg.theta
+                    + math.pi * math.log(math.sqrt(x * x + 1.0) / (x - lam)))
+            size = above - below + const_sum
+            bound = ((5.0 / 3.0) * 4.0 ** -26 + 2 * (13 + math.log2(len(n))) * u) * size
+            assert bound < 3e-12
+            assert abs(got - want) <= bound, (lam, got - want, bound)
+
+
+def test_weak_far_solve_thread_invariant(big_table):
+    rep = big_table.representable
+    i0 = int(np.searchsorted(rep, 910_000))
+    cfg = CouplingConfig(mode="weak", theta=-20.0)
+    one = solve_range(int(rep[i0]), int(rep[i0 + 3 * 512 + 100]), big_table, cfg, threads=1)
+    two = solve_range(int(rep[i0]), int(rep[i0 + 3 * 512 + 100]), big_table, cfg, threads=2)
+    assert np.array_equal(one.lam, two.lam)
+
+
+def test_solve_range_rejects_bad_chunk(table):
+    for chunk in (0, -1):
+        with pytest.raises(ValueError, match="chunk"):
+            solve_range(1000, 5000, table, WEAK, chunk=chunk)
+
+
 def test_solve_range_strong_names_interval_without_root(table):
     with pytest.raises(NoRootError, match=r"interval j=2 "):
         solve_range(2, 10, table, STRONG)
