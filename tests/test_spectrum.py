@@ -388,9 +388,14 @@ def weak_kernels(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("case", ["theta-20 at 910k", "theta0 near 3e4",
-                                  "chunk=100", "solve_interval"])
-def test_weak_kernel_matches_direct_sum(case, table, big_table, weak_kernels):
+@pytest.mark.parametrize("big, theta, x0, count, chunk", [
+    (True, -20.0, 910_000, 512, 512),   # the far-field chunk at acceptance scale
+    (False, 0.0, 30_000, 512, 512),
+    (False, -3.0, 20_000, 250, 100),    # chunks of 100, 100, 50: partial sub-blocks
+    (False, 0.0, 40_000, 1, None),      # solve_interval, a chunk of one
+])
+def test_weak_kernel_matches_direct_sum(big, theta, x0, count, chunk, table, big_table,
+                                        weak_kernels):
     # every lane's g, at the midpoint of its interval, against the directly
     # summed weak secular function at the chunk's frozen cutoff.  Bound per
     # lane: each expanded point keeps its geometric series while
@@ -401,27 +406,16 @@ def test_weak_kernel_matches_direct_sum(case, table, big_table, weak_kernels):
     # each errs by at most (13 + log2 N) u sum|terms|.  At midpoints no pole
     # is nearer than half a gap, so sum|terms| < 350 and the bound stays
     # below 3e-12; the differences seen are below 1e-13.
-    rep = big_table.representable if case == "theta-20 at 910k" else table.representable
-    if case == "theta-20 at 910k":
-        t, cfg = big_table, CouplingConfig(mode="weak", theta=-20.0)
-        i0 = int(np.searchsorted(rep, 910_000))
-        spec = solve_range(int(rep[i0]), int(rep[i0 + 512]), t, cfg)
-    elif case == "theta0 near 3e4":
-        t, cfg = table, WEAK
-        i0 = int(np.searchsorted(rep, 30_000))
-        spec = solve_range(int(rep[i0]), int(rep[i0 + 512]), t, cfg)
-    elif case == "chunk=100":
-        # 250 intervals: chunks of 100, 100 and 50 lanes, each ending in a
-        # partial sub-block
-        t, cfg = table, CouplingConfig(mode="weak", theta=-3.0)
-        i0 = int(np.searchsorted(rep, 20_000))
-        spec = solve_range(int(rep[i0]), int(rep[i0 + 250]), t, cfg, chunk=100)
-        assert [hi - lo + 1 for _, lo, hi, _ in weak_kernels] == [100, 100, 50]
+    t = big_table if big else table
+    rep = t.representable
+    cfg = CouplingConfig(mode="weak", theta=theta)
+    i0 = int(np.searchsorted(rep, x0))
+    if chunk is None:
+        solve_interval(i0, t, cfg)
     else:
-        t, cfg = table, WEAK
-        solve_interval(int(np.searchsorted(rep, 40_000)), t, cfg)
-    assert case == "solve_interval" or len(spec) == sum(
-        hi - lo + 1 for _, lo, hi, _ in weak_kernels)
+        solve_range(int(rep[i0]), int(rep[i0 + count]), t, cfg, chunk=chunk)
+    sizes = [hi - lo + 1 for _, lo, hi, _ in weak_kernels]
+    assert sizes == [min(chunk or 1, count - k) for k in range(0, count, chunk or 1)]
     u = np.finfo(np.float64).eps / 2
     for g, j_lo, j_hi, c in weak_kernels:
         x = c.cutoff.bound(float(rep[j_hi + 1]))
