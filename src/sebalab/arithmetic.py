@@ -26,6 +26,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List
 
 import numpy as np
@@ -37,14 +38,18 @@ _HALF_LOG2 = 0.34657359027997264  # (1/2) log 2, the normal-order exponent of lo
 _CACHE_MAGIC = b"SEBA"
 _CACHE_VERSION = 1
 
-# Peak memory of build_table, from tracemalloc: the dense arrays, their
-# temporaries and the index of N take up to 20 bytes per integer (19.5 at
-# x_max = 11M, 18.7 at 22M), and the peel state of one sieve chunk a fixed
+# Peak memory of build_table, from tracemalloc: the dense arrays and the
+# index of N take under 20 bytes per integer (16.4 at x_max = 11M, 13.2 at
+# 22M, peel chunk included), and the peel state of one sieve chunk a fixed
 # 81 bytes per chunk element (80.2 MB at x_max = 1M, a single chunk).
 _SIEVE_CHUNK = 1_000_000
 _BYTES_PER_N = 20
 _BYTES_PER_CHUNK_N = 81
 DEFAULT_MEMORY_BUDGET = 2 * 1024 ** 3
+
+_BLOCK_WIDTH = 4096    # integers per block of the moment tables
+_BLOCK_ORDER = 32      # moments kept per block: orders 0 .. 31
+_BLOCK_CHUNK = 64      # blocks per product: 12 MB of temporaries at 11M
 
 
 class CapacityError(Exception):
@@ -76,6 +81,56 @@ class ArithmeticTable:
     def check_range(self, x) -> None:
         if not 0 <= x <= self.x_max:
             raise RangeError(f"x={x} outside sieved range [0, {self.x_max}]")
+
+    @cached_property
+    def moments(self) -> "BlockMoments":
+        """Block moments of N, built on first use and kept with the table."""
+        return _block_moments(self)
+
+
+@dataclass(frozen=True)
+class BlockMoments:
+    """Moments of N over the flat blocks [j h, (j + 1) h) of [0, x_max]:
+
+        M_k(j) = sum_{n in N, j h <= n < (j + 1) h} w(n) ((n - c_j) / h)^k,
+        c_j = j h + (h - 1) / 2,
+
+    for k < _BLOCK_ORDER, with w = r2 in ``r2`` and w = 1 in ``unit`` (both
+    of shape (order, blocks)).  N in block j is
+    representable[start[j]:start[j + 1]].  The arrays are read-only.
+    """
+
+    width: int
+    start: np.ndarray     # int64, blocks + 1 entries
+    r2: np.ndarray
+    unit: np.ndarray
+
+    def centre(self, j):
+        return j * self.width + (self.width - 1) / 2.0
+
+
+def _block_moments(table: ArithmeticTable) -> BlockMoments:
+    """Both moment tables, one product with the block Vandermonde matrix
+    per chunk of blocks."""
+    h, rep = _BLOCK_WIDTH, table.representable
+    blocks = table.x_max // h + 1
+    u = (np.arange(h) - (h - 1) / 2.0) / h
+    vander = u[:, None] ** np.arange(_BLOCK_ORDER)
+    start = np.searchsorted(rep, np.arange(blocks + 1, dtype=np.int64) * h)
+    r2 = np.empty((_BLOCK_ORDER, blocks))
+    unit = np.empty((_BLOCK_ORDER, blocks))
+    for j0 in range(0, blocks, _BLOCK_CHUNK):
+        j1 = min(j0 + _BLOCK_CHUNK, blocks)
+        n = rep[start[j0]:start[j1]]
+        dense = np.zeros((2, (j1 - j0) * h))
+        dense[0, n - j0 * h] = table.r2[n]
+        dense[1, n - j0 * h] = 1.0
+        m = dense.reshape(2 * (j1 - j0), h) @ vander
+        r2[:, j0:j1] = m[:j1 - j0].T
+        unit[:, j0:j1] = m[j1 - j0:].T
+    for a in (start, r2, unit):
+        a.setflags(write=False)
+    return BlockMoments(h, start, r2, unit)
 
 
 def _smallest_prime_factor(x_max: int) -> np.ndarray:
@@ -150,9 +205,12 @@ def build_table(x_max: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Arith
             rem[active] = r
             active = active[r > 1]
 
-    r2 = np.where(bad, 0, 4 * b1).astype(np.int32)
+    del spf
+    r2 = b1            # r2 = 4 * b1 where no p = 3 mod 4 has an odd exponent
+    r2 *= 4
+    r2[bad] = 0
     r2[0] = 1
-    rep = np.nonzero(r2)[0].astype(np.int64)
+    rep = np.flatnonzero(r2).astype(np.int64, copy=False)
     logger.debug("sieved x_max=%d, |N|=%d", x_max, len(rep))
     return ArithmeticTable(x_max, r2, omega1, rep)
 

@@ -441,3 +441,168 @@ def test_density_filter_deterministic(table):
     assert np.array_equal(a, b)
     empty = mf.density_filter(table, 10, 12)
     assert empty.size == 0
+
+
+# ------------------------------------------------------ block-moment engine --
+
+U = 2.0 ** -53
+
+
+@pytest.fixture(scope="module")
+def big():
+    return build_table(11_000_000)
+
+
+def exact_sum(terms):
+    """Sum in 80-bit extended precision: exactly rounded for these sums."""
+    return float(np.asarray(terms, dtype=np.longdouble).sum())
+
+
+def direct_terms(table, lam, s, x=None, gap=0.0, unit=False, log=False):
+    rep = table.representable
+    if x is not None:
+        rep = rep[rep <= x]
+    d = np.abs(rep.astype(np.float64) - lam)
+    rep, d = rep[d >= gap], d[d >= gap]
+    t = (1.0 if unit else table.r2[rep]) * d ** -s
+    return t * np.log(d) if log else t
+
+
+def assert_within_bound(table, lam, s, x=None, gap=0.0, unit=False,
+                        log=False):
+    """The engine's sum is within its computed truncation bound plus the
+    rounding of a pairwise float64 sum of the exactly rounded reference,
+    and that bound is at most 1e-15 relative."""
+    (value,), (bound,) = (a.ravel() for a in mf._lattice_sums(
+        table, [lam], [(s, log)], x, (gap,), unit))
+    terms = direct_terms(table, lam, s, x, gap, unit, log)
+    mag = float(np.abs(terms).sum())
+    assert 0.0 <= bound <= 1e-15 * mag
+    rounding = (math.log2(max(terms.size, 2)) + 16.0) * U * mag
+    assert abs(value - exact_sum(terms)) <= bound + rounding
+    return value, bound
+
+
+@pytest.mark.parametrize("s", [2.0, 2.5, 3.0, 4.0])
+def test_engine_matches_exact_sum_at_scale(big, s):
+    lams = [100_000.37, 262_144.5, 555_555.25, 999_999.5,
+            big.x_max - 0.5, big.x_max - 6000.25]
+    for lam in lams:
+        _, bound = assert_within_bound(big, lam, s)
+        assert bound > 0.0          # far blocks did enter through series
+        # no near mass: the nearest expanded blocks carry much of the sum
+        assert_within_bound(big, lam, s, gap=2.5 * 4096)
+        if lam < 10 ** 6:           # the cutoff falls inside a block
+            x = 4096.0 * math.floor(2.5 * lam / 4096.0) + 1234.5
+            assert_within_bound(big, lam, s, x=x)
+            got = mf.zeta_lambda(lam, s, big, x_window=x, rel_tol=math.inf)
+            assert got.value == mf._lattice_sums(big, [lam], [(s, False)],
+                                                 x)[0][0, 0, 0]
+
+
+@pytest.mark.parametrize("s", [2.0, 2.5, 3.0, 4.0])
+def test_far_field_matches_exact_sum_over_expanded_blocks(big, s):
+    # the series part alone, where a short expansion would show: every
+    # block but lambda's own and two on each side enters through it
+    mom, rep = big.moments, big.representable
+    h, order, blocks = mom.width, mom.r2.shape[0], mom.r2.shape[1]
+    for lam in (100_000.37, 555_555.25, 999_999.5, big.x_max - 6000.25):
+        own = int(lam // h)
+        lo, hi = max(own - 2, 0), min(own + 2, blocks - 1)
+        n = np.concatenate((rep[:mom.start[lo]], rep[mom.start[hi + 1]:]))
+        d = np.abs(n.astype(np.float64) - lam)
+        for log in (False, True) if s == 2.0 else (False,):
+            reach = mf._reach(s, log, h, order)
+            assert reach[order] <= 2.5 * h     # own +- 2 may be direct
+            far = mf._far_field(mom, np.array([lam]), np.array([lo]),
+                                np.array([hi]), blocks, [(s, log)], [reach],
+                                False)[0, 0]
+            terms = big.r2[n] * d ** -s * (np.log(d) if log else 1.0)
+            mag = float(np.abs(terms).sum())
+            tol = mf._TRUNCATION * mag + (math.log2(blocks) + 4.0) * U * mag
+            assert abs(far - exact_sum(terms)) <= tol
+
+
+def test_engine_tail_with_gap_over_several_blocks(big):
+    t, g = 500_000.25, 3.3 * 4096
+    for q in (1.0, 1.25, 2.0):
+        value, _ = assert_within_bound(big, t, 2.0 * q, gap=g)
+        assert mf.tail_tau(t, g, q, big).value == value
+
+
+def test_engine_unweighted_annulus_and_shannon(big):
+    rep = big.representable
+    for m in (int(rep[np.searchsorted(rep, 123_457)]),
+              int(rep[np.searchsorted(rep, 876_543)])):
+        for s in (3.0, 4.0):
+            for g in (2.0, 8.0, 32.0):
+                assert_within_bound(big, float(m), s, gap=g, unit=True)
+    for lam in (150_000.5, 777_777.75):
+        z, bz = assert_within_bound(big, lam, 2.0)
+        zl, bl = assert_within_bound(big, lam, 2.0, log=True)
+        ref_z = exact_sum(direct_terms(big, lam, 2.0))
+        ref_zl = exact_sum(direct_terms(big, lam, 2.0, log=True))
+        want = math.log(ref_z) + 2.0 * ref_zl / ref_z
+        got = mf._shannon_entropy(lam, big, float(big.x_max))
+        rel_z = (bz + 40.0 * U * z) / z
+        tol = rel_z * (1.0 + 2.0 * abs(zl) / z) \
+            + 2.0 * (bl + 40.0 * U * float(np.abs(direct_terms(
+                big, lam, 2.0, log=True)).sum())) / z \
+            + 8.0 * U * (abs(math.log(z)) + 2.0 * abs(zl) / z)
+        assert abs(got - want) <= tol
+
+
+def test_engine_all_blocks_direct_on_small_tables():
+    small = build_table(20_000)               # five blocks, all near 10^4
+    for s in (2.0, 3.0):
+        value, bound = assert_within_bound(small, 10_000.5, s)
+        assert bound == 0.0
+    toy = toy_table([0, 3, 7, 4000, 9000], [1, 4, 8, 4, 16], 9500)
+    got = mf._lattice_sums(toy, [4500.5], [(2.0, False), (2.0, True)],
+                           gaps=(0.0, 600.0))[0][0]
+    d = np.abs(np.array([0.0, 3.0, 7.0, 4000.0, 9000.0]) - 4500.5)
+    w = np.array([1.0, 4.0, 8.0, 4.0, 16.0]) * d ** -2.0
+    assert got[0, 0] == pytest.approx(w.sum(), rel=1e-15)
+    assert got[0, 1] == pytest.approx(w[[0, 1, 2, 4]].sum(), rel=1e-15)
+    assert got[1, 0] == pytest.approx((w * np.log(d)).sum(), rel=1e-15)
+
+
+def test_batch_zeta_matches_single_calls(big):
+    rng = np.random.default_rng(11)
+    lams = np.sort(rng.uniform(1e3, 1e6, 40)) + 0.5
+    q_list = [1.25, 1.5, 2.0, 1.0]
+    out, shan = mf._batch_zeta(lams, q_list, big, math.inf, True)
+    for i, lam in enumerate(lams):
+        for k, q in enumerate(q_list):
+            one = mf.zeta_lambda(float(lam), 2.0 * q, big, rel_tol=math.inf)
+            assert abs(out[i, k] - one.value) <= 4.0 * U * one.value
+        h = mf._shannon_entropy(float(lam), big, float(big.x_max))
+        assert abs(shan[i] - h) <= 16.0 * U * max(1.0, abs(h))
+
+
+def test_block_moments_built_once_and_lazily(monkeypatch):
+    from sebalab import arithmetic
+    calls = []
+    real = arithmetic._block_moments
+    monkeypatch.setattr(arithmetic, "_block_moments",
+                        lambda t: calls.append(t) or real(t))
+    t = build_table(100_000)
+    assert not calls and "moments" not in vars(t)
+    mf.zeta_lambda(1000.5, 2.0, t, rel_tol=math.inf)
+    mf.tail_tau(5000.5, 10.0, 1.5, t)
+    mf.annulus_decay_ok(int(t.representable[2000]), 1.5, t)
+    mf.moment_profile(1000.5, 0.5, 1000, (1.0, 2.0), t, rel_tol=math.inf)
+    assert calls == [t]
+    mom = t.moments
+    assert mom is t.moments
+    # M_k(j) against its definition, summed exactly
+    rep = t.representable
+    for j in (0, 7, mom.start.size - 2):
+        n = rep[mom.start[j]:mom.start[j + 1]]
+        assert np.all((n >= j * mom.width) & (n < (j + 1) * mom.width))
+        u = (n - mom.centre(j)) / mom.width
+        for k in (0, 1, 5, mom.r2.shape[0] - 1):
+            for got, w in ((mom.r2[k, j], t.r2[n]), (mom.unit[k, j], 1.0)):
+                terms = w * u ** k
+                assert abs(got - exact_sum(terms)) \
+                    <= 64.0 * U * float(np.abs(terms).sum())
