@@ -164,12 +164,6 @@ def build_table(x_max: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Arith
             f"budget is {memory_budget}")
 
     n_total = x_max + 1
-    if x_max < 2:
-        r2 = np.array([1, 4][:n_total], dtype=np.int32)
-        omega1 = np.zeros(n_total, dtype=np.int8)
-        rep = np.nonzero(r2)[0].astype(np.int64)
-        return ArithmeticTable(x_max, r2, omega1, rep)
-
     spf = _smallest_prime_factor(x_max)
     b1 = np.ones(n_total, dtype=np.int32)    # prod (e_p + 1), p = 1 mod 4
     bad = np.zeros(n_total, dtype=bool)      # odd exponent at some p = 3 mod 4
@@ -241,10 +235,13 @@ def normal_order_filter(table: ArithmeticTable, epsilon: float, n_min: int) -> n
         raise ValueError("n_min must be >= 16 so that log log n > 0")
     rep = table.representable
     cand = rep[rep >= n_min]
-    if cand.size == 0:
-        return cand
-    ratio = np.log(table.r2[cand].astype(np.float64)) / np.log(np.log(cand.astype(np.float64)))
-    return cand[np.abs(ratio - _HALF_LOG2) <= epsilon]
+    return cand[_normal_order(table, cand, epsilon)]
+
+
+def _normal_order(table: ArithmeticTable, n: np.ndarray, epsilon: float) -> np.ndarray:
+    """Mask of |log r2(n) / log log n - (1/2) log 2| <= epsilon over n >= 16."""
+    ratio = np.log(table.r2[n].astype(np.float64)) / np.log(np.log(n.astype(np.float64)))
+    return np.abs(ratio - _HALF_LOG2) <= epsilon
 
 
 def omega1_histogram(table: ArithmeticTable, x: int) -> Dict[int, int]:

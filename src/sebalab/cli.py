@@ -156,31 +156,12 @@ def build_parser():
     return parser
 
 
-# persisted per command: everything that can change the report bytes
-_PERSIST = {
-    "sieve": ("x_max",),
-    "spectrum": ("x_min", "x_max", "table_max", "mode", "theta", "beta_c",
-                 "beta_b", "multiplier", "min_span", "root_tol"),
-    "moments": ("x_min", "x_max", "table_max", "mode", "theta", "beta_c",
-                "beta_b", "multiplier", "min_span", "root_tol", "q_grid",
-                "limit", "rel_tol"),
-    "exponents": ("x_min", "x_max", "table_max", "mode", "theta", "beta_c",
-                  "beta_b", "multiplier", "min_span", "root_tol", "q_grid",
-                  "normalization", "normal_eps", "delta_eps", "alpha",
-                  "rel_tol"),
-    "tail": ("t", "g_exponent", "q_grid", "table_max"),
-    "epstein": ("a", "s", "tol", "dps"),
-    "symmetry": ("a", "q_grid", "dps"),
-}
-
-
 def resolve_config(args):
-    """Freeze a Namespace into the dict every report will embed."""
-    cfg = {"command": args.command, "format": args.format}
-    for key in _PERSIST[args.command]:
-        val = getattr(args, key)
-        cfg[key] = list(val) if isinstance(val, tuple) else val
-    if cfg.get("table_max") is None and "table_max" in cfg:
+    """Freeze a Namespace into the dict every report will embed: every
+    parsed option but the output path and the thread count."""
+    cfg = {key: list(val) if isinstance(val, tuple) else val
+           for key, val in vars(args).items() if key not in ("out", "threads")}
+    if "table_max" in cfg and cfg["table_max"] is None:
         cfg["table_max"] = _default_table_max(cfg)
     return cfg
 
@@ -236,8 +217,6 @@ def _run_spectrum(cfg, threads):
 def _run_moments(cfg, threads):
     table, spec = _solve_window(cfg, threads)
     qs = tuple(cfg["q_grid"])
-    if cfg["limit"] < 1:
-        raise ValueError("limit must be >= 1")
     stride = max(1, len(spec) // cfg["limit"])
     columns = ["lambda", "delta", "n_tilde"]
     for q in qs:
@@ -309,35 +288,19 @@ def _run_exponents(cfg, threads):
                             normalization=cfg["normalization"],
                             rel_tol=cfg["rel_tol"])
 
-    def by_q(d):
-        return {f"{q:g}": d[q] for q in rep.q_grid}
-
-    return {
-        "window": list(rep.window),
-        "normalization": rep.normalization,
-        "n_records": rep.n_records,
-        "block_edges": list(rep.block_edges),
-        "block_counts": list(rep.block_counts),
-        "q_grid": list(rep.q_grid),
-        "alpha_hat": rep.alpha_hat,
-        "c_hat": rep.c_hat,
-        "G": by_q(rep.G),
-        "N": by_q(rep.N),
-        "d_hat": by_q(rep.d_hat),
-        "D_hat": by_q(rep.D_hat),
-        "D_hat_alt": by_q(rep.D_hat_alt),
-        "d_theory": by_q(rep.d_theory),
-        "D_theory": by_q(rep.D_theory),
-        "q_admissible": None if rep.q_admissible is None
-        else list(rep.q_admissible),
-        "theory_applicable": rep.theory_applicable,
-    }
+    # every field of the report, per-q maps keyed by f"{q:g}"
+    out = {}
+    for key, val in vars(rep).items():
+        if isinstance(val, dict):
+            val = {f"{q:g}": val[q] for q in rep.q_grid}
+        out[key] = list(val) if isinstance(val, tuple) else val
+    return out
 
 
-_TABULAR = {"sieve": _run_sieve, "spectrum": _run_spectrum,
-            "moments": _run_moments, "tail": _run_tail,
-            "symmetry": _run_symmetry}
-_NESTED = {"epstein": _run_epstein, "exponents": _run_exponents}
+_HANDLERS = {"sieve": _run_sieve, "spectrum": _run_spectrum,
+             "moments": _run_moments, "tail": _run_tail,
+             "symmetry": _run_symmetry, "epstein": _run_epstein,
+             "exponents": _run_exponents}
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +328,6 @@ def render(cfg, payload):
     """Serialize a handler result under the echoed config."""
     config_line = json.dumps(cfg, sort_keys=True)
     if isinstance(payload, dict):     # nested report
-        if cfg["format"] == "csv":
-            raise ValueError(
-                f"{cfg['command']} produces a nested report; use json")
         doc = {"version": __version__, "config": cfg,
                "report": _sanitize(payload)}
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -387,12 +347,15 @@ def render(cfg, payload):
 
 
 def execute(cfg, threads=None):
+    """Validate a config, run its handler and render the report."""
     cmd = cfg.get("command")
-    if cmd in _TABULAR:
-        return render(cfg, _TABULAR[cmd](cfg, threads))
-    if cmd in _NESTED:
-        return render(cfg, _NESTED[cmd](cfg, threads))
-    raise ValueError(f"unknown command in config: {cmd!r}")
+    if cmd not in _HANDLERS:
+        raise ValueError(f"unknown command in config: {cmd!r}")
+    if cmd in ("epstein", "exponents") and cfg["format"] == "csv":
+        raise ValueError(f"{cmd} produces a nested report; use json")
+    if cmd == "moments" and cfg["limit"] < 1:
+        raise ValueError("limit must be >= 1")
+    return render(cfg, _HANDLERS[cmd](cfg, threads))
 
 
 def _check_writable(path):

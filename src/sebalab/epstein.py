@@ -175,11 +175,27 @@ def _direct_radius(sigma: float, s_abs: float, d: float, tol: float,
     return r
 
 
-def _direct_tail_bound(form: RectangularForm, r_cut: float, sigma: float,
-                       s_abs: float) -> float:
-    d = form.cell_diameter
-    return s_abs * (math.pi * d * r_cut ** (0.5 - sigma) / (sigma - 0.5)
-                    + (math.pi * d * d / 4.0) * r_cut ** (-sigma) / sigma)
+def _certified_shell_sum(form: RectangularForm, fn, finish, r_cut: float,
+                         tol: float, r_max: float):
+    """Sum fn(Q(xi)) over Q(xi) <= r_cut, doubling r_cut until certified.
+
+    finish(partial, e_boundary, r_cut) completes the partial sum in closed
+    form, given e_boundary = N(r_cut) - pi r_cut from the enumeration, and
+    returns (value, certified error).  Returns the first pair whose error is
+    <= tol; raises NonconvergenceError once r_cut passes the budget r_max.
+    """
+    if r_cut > r_max:
+        raise NonconvergenceError(
+            f"tol={tol} needs shell radius ~{r_cut:.3g} > budget {r_max:.3g}")
+    while True:
+        partial, npoints = _sum_over_lattice(form, r_cut, fn)
+        value, err = finish(partial, npoints - math.pi * r_cut, r_cut)
+        if err <= tol:
+            return value, err
+        r_cut *= 2.0
+        if r_cut > r_max:
+            raise NonconvergenceError(
+                f"certified bound stalled at {err:.3g} > tol={tol}")
 
 
 def epstein_direct(form: RectangularForm, s: Number, tol: float = 1e-10,
@@ -198,22 +214,18 @@ def epstein_direct(form: RectangularForm, s: Number, tol: float = 1e-10,
         raise ValueError("epstein_direct requires Re s > 1.05 "
                          "(use epstein_continued below the margin)")
     s_abs = abs(s)
-    r_cut = _direct_radius(sigma, s_abs, form.cell_diameter, tol / 2.0)
-    if r_cut > r_max:
-        raise NonconvergenceError(
-            f"tol={tol} at s={s} needs shell radius ~{r_cut:.3g} > budget {r_max:.3g}")
-    while True:
-        partial, npoints = _sum_over_lattice(form, r_cut, lambda q: q ** (-s))
-        e_boundary = npoints - math.pi * r_cut
-        value = (partial + math.pi * r_cut ** (1 - s) / (s - 1)
-                 - r_cut ** (-s) * e_boundary)
-        bound = _direct_tail_bound(form, r_cut, sigma, s_abs) + 1e-13
-        if bound <= tol:
-            break
-        r_cut *= 2.0
-        if r_cut > r_max:
-            raise NonconvergenceError(
-                f"certified bound stalled at {bound:.3g} > tol={tol} for s={s}")
+    d = form.cell_diameter
+
+    def finish(partial, e_boundary, r):
+        value = (partial + math.pi * r ** (1 - s) / (s - 1)
+                 - r ** (-s) * e_boundary)
+        tail = s_abs * (math.pi * d * r ** (0.5 - sigma) / (sigma - 0.5)
+                        + (math.pi * d * d / 4.0) * r ** (-sigma) / sigma)
+        return value, tail + 1e-13
+
+    value, bound = _certified_shell_sum(
+        form, lambda q: q ** (-s), finish,
+        _direct_radius(sigma, s_abs, d, tol / 2.0), tol, r_max)
     if not isinstance(s, complex):
         value = float(value.real) if isinstance(value, complex) else float(value)
     return EpsteinValue(s=s, value=value, method="direct", certified_error=bound)
@@ -237,27 +249,21 @@ def _deriv_cached(a: float, s: float, tol: float, r_max: float) -> float:
     if s <= 1.05:
         raise ValueError("zeta_Q_derivative requires s > 1.05")
     d = form.cell_diameter
-    r_cut = _direct_radius(s, abs(s), d, tol / 2.0, extra_log=True)
-    if r_cut > r_max:
-        raise NonconvergenceError(f"tol={tol} needs radius {r_cut:.3g} > {r_max:.3g}")
-    while True:
-        partial, npoints = _sum_over_lattice(form, r_cut,
-                                             lambda q: q ** (-s) * np.log(q))
-        e_boundary = npoints - math.pi * r_cut
-        log_r = math.log(r_cut)
+
+    def finish(partial, e_boundary, r):
+        log_r = math.log(r)
         value = (-partial
-                 - math.pi * r_cut ** (1 - s) * (log_r / (s - 1) + (s - 1) ** -2)
-                 + r_cut ** (-s) * log_r * e_boundary)
-        bound = (math.pi * d * r_cut ** (0.5 - s) / (s - 0.5)
-                 * (1.0 + s * (log_r + 1.0 / (s - 0.5)))
-                 + (math.pi * d * d / 4.0) * r_cut ** (-s) / s
-                 * (1.0 + s * (log_r + 1.0 / s))) + 1e-13
-        if bound <= tol:
-            return float(value)
-        r_cut *= 2.0
-        if r_cut > r_max:
-            raise NonconvergenceError(
-                f"certified bound stalled at {bound:.3g} > tol={tol}")
+                 - math.pi * r ** (1 - s) * (log_r / (s - 1) + (s - 1) ** -2)
+                 + r ** (-s) * log_r * e_boundary)
+        return value, (math.pi * d * r ** (0.5 - s) / (s - 0.5)
+                       * (1.0 + s * (log_r + 1.0 / (s - 0.5)))
+                       + (math.pi * d * d / 4.0) * r ** (-s) / s
+                       * (1.0 + s * (log_r + 1.0 / s))) + 1e-13
+
+    value, _ = _certified_shell_sum(
+        form, lambda q: q ** (-s) * np.log(q), finish,
+        _direct_radius(s, abs(s), d, tol / 2.0, extra_log=True), tol, r_max)
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -440,25 +446,19 @@ def _zeta_star(form: RectangularForm, lam: float, s: float, tol: float,
         raise ValueError(
             f"lambda={lam} outside [0, {form.min_nonzero}): sign change inside the sum")
     d = form.cell_diameter
-    if r_cut <= 0:
-        r_cut = _direct_radius(s, s, d, tol / 2.0)
-        if r_cut > r_max:
-            raise NonconvergenceError(f"tol={tol} needs radius {r_cut:.3g} > {r_max:.3g}")
-    while True:
-        partial, npoints = _sum_over_lattice(form, r_cut,
-                                             lambda qv: (qv - lam) ** (-s))
-        e_boundary = npoints - math.pi * r_cut
-        shifted = r_cut - lam
+
+    def finish(partial, e_boundary, r):
+        shifted = r - lam
         value = (partial + math.pi * shifted ** (1 - s) / (s - 1)
                  - shifted ** (-s) * e_boundary)
-        stretch = math.sqrt(r_cut / shifted)
-        bound = (s * (math.pi * d * stretch * shifted ** (0.5 - s) / (s - 0.5)
-                      + (math.pi * d * d / 4.0) * shifted ** (-s) / s)) + 1e-13
-        if bound <= tol:
-            return float(value), bound
-        r_cut *= 2.0
-        if r_cut > r_max:
-            raise NonconvergenceError(f"certified bound stalled at {bound:.3g}")
+        stretch = math.sqrt(r / shifted)
+        return value, (s * (math.pi * d * stretch * shifted ** (0.5 - s) / (s - 0.5)
+                            + (math.pi * d * d / 4.0) * shifted ** (-s) / s)) + 1e-13
+
+    value, err = _certified_shell_sum(
+        form, lambda qv: (qv - lam) ** (-s), finish,
+        r_cut if r_cut > 0 else _direct_radius(s, s, d, tol / 2.0), tol, r_max)
+    return float(value), err
 
 
 def modified_moment(form: RectangularForm, lam: float, s: float,

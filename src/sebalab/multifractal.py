@@ -61,7 +61,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .arithmetic import _HALF_LOG2, ArithmeticTable
+from .arithmetic import _HALF_LOG2, ArithmeticTable, _normal_order
 from .spectrum import EmptyWindowError, SebaSpectrum, _check_pole
 
 _TWO_PI = 2.0 * math.pi
@@ -84,6 +84,45 @@ def _circle_tail(span: float, x: float, s: float) -> float:
     return (math.pi + eps) * span ** (1.0 - s) * s / (s - 1.0)
 
 
+def _checked_zeta(table, lams, s_list, x_window=None, rel_tol=None,
+                  shannon=False):
+    """zeta_lam(s) over representable n <= X, for each lambda (rows) and s
+    (columns), with certified tail bounds and, when asked, Shannon entropies.
+
+    X is ``x_window`` (default: the whole table) and must lie in
+    [2 max lambda, x_max].  tails[k] bounds the omitted n > X mass of
+    column k at the largest lambda, so of every row; each must stay within
+    ``rel_tol`` of the column's smallest value (None or inf: no check).
+    The Shannon entropy -sum mu log mu of the atoms r2(n)|n - lam|^{-2}/Z
+    needs 2 in ``s_list``.
+    """
+    lams = np.asarray(lams, dtype=np.float64)
+    for lam in lams[lams == np.rint(lams)]:
+        _check_pole(float(lam), table)
+    x = float(table.x_max if x_window is None else x_window)
+    top = float(lams.max())
+    if x > table.x_max:
+        raise InsufficientWindowError(
+            f"window {x} exceeds table bound {table.x_max}")
+    if x < 2.0 * top:
+        raise InsufficientWindowError(
+            f"window {x} below 2*lambda={2.0 * top}")
+    kernels = [(s, False) for s in s_list] + [(2.0, True)] * shannon
+    sums = _lattice_sums(table, lams, kernels, x)[0][:, :, 0]
+    values = sums[:, :len(s_list)]
+    tails = [_circle_tail(x - top, x, s) for s in s_list]
+    for s, tail, column in zip(s_list, tails, values.T):
+        if rel_tol is not None and tail > rel_tol * column.min():
+            raise InsufficientWindowError(
+                f"certified tail {tail:.3e} exceeds {rel_tol:.1e} relative "
+                f"at s={s}; enlarge the table or loosen rel_tol")
+    if not shannon:
+        return values, tails, None
+    z = values[:, s_list.index(2.0)]
+    return values, tails, np.array([math.log(zk) + 2.0 * zl / zk
+                                    for zk, zl in zip(z, sums[:, -1])])
+
+
 def zeta_lambda(lam, s, table, x_window=None, rel_tol=1e-8):
     """Truncated spectral zeta value with a certified tail bound.
 
@@ -95,28 +134,8 @@ def zeta_lambda(lam, s, table, x_window=None, rel_tol=1e-8):
     """
     if s <= 1.0:
         raise ValueError(f"require s > 1, got s={s}")
-    _check_pole(lam, table)
-    x = float(table.x_max if x_window is None else x_window)
-    if x > table.x_max:
-        raise InsufficientWindowError(
-            f"window {x} exceeds table bound {table.x_max}")
-    if x < 2.0 * lam:
-        raise InsufficientWindowError(
-            f"window {x} below 2*lambda={2.0 * lam}")
-    value = float(_lattice_sums(table, [lam], [(s, False)], x)[0][0, 0, 0])
-    tail = _circle_tail(x - lam, x, s)
-    if rel_tol is not None and tail > rel_tol * value:
-        raise InsufficientWindowError(
-            f"certified tail {tail:.3e} exceeds {rel_tol:.1e} relative "
-            f"at s={s}; enlarge the table or loosen rel_tol")
-    return ZetaValue(value, tail)
-
-
-def _shannon_entropy(lam, table, x):
-    # -sum mu log mu over the r2(n) atoms of weight |n-lam|^{-2}/Z each
-    sums = _lattice_sums(table, [lam], [(2.0, False), (2.0, True)], x)[0]
-    z, zl = float(sums[0, 0, 0]), float(sums[0, 1, 0])
-    return math.log(z) + 2.0 * zl / z
+    values, tails, _ = _checked_zeta(table, [lam], [s], x_window, rel_tol)
+    return ZetaValue(float(values[0, 0]), tails[0])
 
 
 @dataclass(frozen=True)
@@ -155,22 +174,17 @@ def moment_profile(lam, delta, n_tilde, q_grid, table,
         raise ValueError(f"require q > 1/2, got q={qs[0]}")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    x = float(table.x_max if x_window is None else x_window)
-    zeta2q, m_q, h_q, big_h, tails = {}, {}, {}, {}, {}
-    for q in dict.fromkeys(qs + (1.0,)):   # grid plus the pivot q = 1
-        z = zeta_lambda(lam, 2.0 * q, table, x_window, rel_tol)
-        zeta2q[q] = z.value
-        tails[q] = z.tail_bound
-        m_q[q] = delta ** (2.0 * q) * z.value
-        h_q[q] = math.log(m_q[q])
-    for q in zeta2q:
-        if q == 1.0:
-            big_h[q] = _shannon_entropy(lam, table, x)
-        else:
-            big_h[q] = (h_q[q] - q * h_q[1.0]) / (1.0 - q)
+    grid = tuple(dict.fromkeys(qs + (1.0,)))   # grid plus the pivot q = 1
+    values, tails, shannon = _checked_zeta(
+        table, [lam], [2.0 * q for q in grid], x_window, rel_tol, shannon=True)
+    zeta2q = {q: float(z) for q, z in zip(grid, values[0])}
+    m_q = {q: delta ** (2.0 * q) * z for q, z in zeta2q.items()}
+    h_q = {q: math.log(m) for q, m in m_q.items()}
+    big_h = {q: float(shannon[0]) if q == 1.0
+             else (h_q[q] - q * h_q[1.0]) / (1.0 - q) for q in grid}
     return MomentProfile(lam=float(lam), q_grid=qs, zeta2q=zeta2q, m_q=m_q,
                          h_q=h_q, H_q=big_h, delta=float(delta),
-                         n_tilde=int(n_tilde), tail_bound=tails)
+                         n_tilde=int(n_tilde), tail_bound=dict(zip(grid, tails)))
 
 
 def tail_tau(t, G, q, table):
@@ -555,27 +569,6 @@ def _block_means(n_tilde, values):
     return edges, counts, means
 
 
-def _batch_zeta(lams, q_list, table, rel_tol, want_shannon):
-    """zeta_lam(2q) for many lambdas at once, with their Shannon entropies."""
-    x = float(table.x_max)
-    if 2.0 * float(lams.max()) > x:
-        raise InsufficientWindowError(
-            f"records reach lambda={lams.max():.0f}, table only {x:.0f}")
-    kernels = [(2.0 * q, False) for q in q_list] + [(2.0, True)] * want_shannon
-    sums = _lattice_sums(table, lams, kernels)[0][:, :, 0]
-    out = sums[:, :len(q_list)]
-    shan = None
-    if want_shannon:
-        z = sums[:, q_list.index(1.0)]
-        shan = np.log(z) + 2.0 * sums[:, -1] / z
-    for k, q in enumerate(q_list):
-        worst = _circle_tail(x - float(lams.max()), x, 2.0 * q)
-        if worst > rel_tol * out[:, k].min():
-            raise InsufficientWindowError(
-                f"certified tail at q={q} exceeds {rel_tol:.1e} relative")
-    return out, shan
-
-
 def fractal_estimates(spec: SebaSpectrum, table: ArithmeticTable,
                       q_grid: Sequence[float], window: Tuple[float, float],
                       filters: FilterConfig = FilterConfig(),
@@ -607,8 +600,7 @@ def fractal_estimates(spec: SebaSpectrum, table: ArithmeticTable,
         raise EmptyWindowError("no records with n_tilde inside the window")
 
     loglog = np.log(np.log(n_t))
-    ratio = np.log(table.r2[n_t]) / loglog
-    keep2 = np.abs(ratio - _HALF_LOG2) <= filters.normal_eps
+    keep2 = _normal_order(table, n_t, filters.normal_eps)
     if not keep2.any():
         raise EmptyWindowError("normal-order filter removed every record")
     lam, n_t, delta, loglog = (lam[keep2], n_t[keep2], delta[keep2],
@@ -626,8 +618,8 @@ def fractal_estimates(spec: SebaSpectrum, table: ArithmeticTable,
                                loglog[keep3])
 
     q_list = list(qs) + ([] if 1.0 in qs else [1.0])
-    zeta, shan = _batch_zeta(lam, q_list, table, rel_tol,
-                             want_shannon=1.0 in qs)
+    zeta, _, shan = _checked_zeta(table, lam, [2.0 * q for q in q_list],
+                                  rel_tol=rel_tol, shannon=1.0 in qs)
     h = {q: 2.0 * q * np.log(delta) + np.log(zeta[:, k])
          for k, q in enumerate(q_list)}
     return exponent_chain(n_t, delta, h, qs, window=(x_lo, x_hi),
@@ -698,23 +690,17 @@ def exponent_chain(n_tilde, delta, h_q, q_grid, window=None, alpha=None,
             scale * (r_q[q] - q * c_hat) / (1.0 - q)
 
     theory_ok = 0.25 < alpha < 0.5
-    if theory_ok:
-        q_adm = admissible_q_range(alpha)
-        c_ok = _HALF_LOG2 - 1e-12 <= c_hat <= 1.0 + 1e-12
-        d_th, big_d_th = {}, {}
-        for q in qs:
-            if q_adm[0] < q <= q_adm[1]:
-                d_th[q] = (1.0 / (2.0 * alpha)) \
-                    * (1.0 - 1.0 / (2.0 * q)) * math.log(2.0)
-                big_d_th[q] = theory_exponents(alpha, c_hat, q)[1] \
-                    if c_ok else math.nan
-            else:
-                d_th[q] = math.nan
+    q_adm = admissible_q_range(alpha) if theory_ok else None
+    c_ok = _HALF_LOG2 - 1e-12 <= c_hat <= 1.0 + 1e-12
+    d_th = {q: math.nan for q in qs}
+    big_d_th = dict(d_th)
+    for q in qs:
+        if theory_ok and q_adm[0] < q <= q_adm[1]:
+            # d_q does not depend on c; D_q needs c_hat in [log(2)/2, 1]
+            d_th[q], big_d_th[q] = theory_exponents(
+                alpha, c_hat if c_ok else _HALF_LOG2, q)
+            if not c_ok:
                 big_d_th[q] = math.nan
-    else:
-        q_adm = None
-        d_th = {q: math.nan for q in qs}
-        big_d_th = {q: math.nan for q in qs}
 
     return ExponentReport(
         window=(float(window[0]), float(window[1])),

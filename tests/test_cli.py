@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from sebalab import __version__
-from sebalab.cli import load_config, main
+from sebalab import __version__, cli
+from sebalab.cli import build_parser, load_config, main, resolve_config
 
 
 def run_cli(*args, env=None):
@@ -194,6 +194,28 @@ def test_exponents_nested_report(tmp_path):
     # nested reports have no csv rendering
     assert main(["exponents", "--x-min", "1000", "--x-max", "30000",
                  "--format", "csv", "--out", str(out)]) == 2
+
+
+def test_invalid_config_rejected_before_the_sieve(tmp_path, monkeypatch,
+                                                  capsys):
+    # a nested report asked for as csv and a zero record limit are config
+    # errors: exit 2 before any table is built, also through rerun
+    def no_sieve(*args, **kwargs):
+        raise RuntimeError("the sieve ran before validation")
+
+    monkeypatch.setattr(cli, "build_table", no_sieve)
+    nested_csv = ["exponents", "--x-min", "1000", "--x-max", "30000",
+                  "--format", "csv"]
+    assert main(nested_csv) == 2
+    assert "produces a nested report; use json" in capsys.readouterr().err
+    assert main(["moments", "--x-min", "1000", "--x-max", "2500",
+                 "--limit", "0"]) == 2
+    assert "limit must be >= 1" in capsys.readouterr().err
+    saved = tmp_path / "cfg.json"
+    saved.write_text(json.dumps(
+        resolve_config(build_parser().parse_args(nested_csv))))
+    assert main(["rerun", "--config", str(saved)]) == 2
+    assert "produces a nested report; use json" in capsys.readouterr().err
 
 
 def test_stdout_delivery(capsys):

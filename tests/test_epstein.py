@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from sebalab.epstein import (EpsteinValue, LogDomainError, NonconvergenceError,
-                             PoleError, RectangularForm, epstein_continued,
-                             epstein_direct, ground_exponents, modified_moment,
+                             PoleError, RectangularForm, _zeta_star,
+                             epstein_continued, epstein_direct,
+                             ground_exponents, modified_moment,
                              modified_moment_slope, phi_Q,
                              shannon_entropy_series, symmetry_check,
                              zeta_Q_derivative)
@@ -78,6 +79,15 @@ def test_direct_precondition_and_nonconvergence():
         epstein_direct(F1, 1.04)
     with pytest.raises(NonconvergenceError):
         epstein_direct(F1, 1.2, tol=1e-10)  # needs a hopeless shell radius
+    # the derivative and the modified moments run the same shell loop: a
+    # budget below the first radius, a tolerance out of reach, and a pinned
+    # radius whose doublings pass the budget before the bound reaches tol
+    with pytest.raises(NonconvergenceError):
+        zeta_Q_derivative(F1, 2.0, r_max=1e3)
+    with pytest.raises(NonconvergenceError):
+        modified_moment(F1, 0.0, 1.2, tol=1e-10)
+    with pytest.raises(NonconvergenceError):
+        _zeta_star(F1, 0.0, 3.0, 1e-9, r_cut=10.0, r_max=100.0)
 
 
 # -------------------------------------------------------------- continued --
@@ -257,12 +267,14 @@ def test_derivative_finite_difference_oracle():
 
 
 def test_derivative_scalar_product_rule():
-    # a = 1: d/ds [4 zeta(s) beta(s)] at s = 2 via mpmath derivatives
+    # a = 1: d/ds [4 zeta(s) beta(s)] via mpmath derivatives; each value
+    # must lie within its certified tolerance
     with mp.workdps(30):
         f = lambda s: 4 * mp.zeta(s) * mp.mpf(4) ** -s * (
             mp.zeta(s, mp.mpf(1) / 4) - mp.zeta(s, mp.mpf(3) / 4))
-        oracle = float(mp.diff(f, mp.mpf(2)))
-    assert abs(zeta_Q_derivative(F1, 2.0) - oracle) < 1e-8
+        for s, tol in ((2.0, 1e-8), (3.0, 1e-11)):
+            oracle = float(mp.diff(f, mp.mpf(s)))
+            assert abs(zeta_Q_derivative(F1, s, tol=tol) - oracle) < tol
 
 
 def test_derivative_aspect_swap_and_domain():
@@ -279,6 +291,15 @@ def test_modified_moment_normalizations():
     z3 = epstein_continued(F1, 3.0).value
     z2 = epstein_continued(F1, 2.0).value
     assert abs(modified_moment(F1, 0.0, 3.0) - z3 / z2 ** 1.5) < 1e-8
+    # zeta*_0(s) = zeta_Q(s): each shell sum meets tol and holds its
+    # certificate against the continuation
+    for form in (F1, F12):
+        for s, tol in ((2.5, 1e-11), (3.0, 1e-9), (3.0, 1e-12)):
+            value, err = _zeta_star(form, 0.0, s, tol)
+            want = epstein_continued(form, s)
+            assert err <= tol
+            assert abs(value - want.value) <= (err + want.certified_error
+                                               + 4 * 2.0 ** -53 * abs(want.value))
 
 
 def test_modified_moment_slope_fd():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -141,6 +142,17 @@ def test_moment_profile_validation(table):
         mf.moment_profile(2.5, 0.5, 2, (0.4, 2.0), table)
     with pytest.raises(ValueError):
         mf.moment_profile(2.5, 0.0, 2, (2.0,), table)
+    # the zeta checks: a pole, a window past the table or below 2 lambda,
+    # and a tail above rel_tol at one q of the grid
+    with pytest.raises(SecularPoleError):
+        mf.moment_profile(25.0, 0.5, 25, (1.5,), table)
+    with pytest.raises(mf.InsufficientWindowError):
+        mf.moment_profile(2.5, 0.5, 2, (1.5,), table,
+                          x_window=2 * table.x_max)
+    with pytest.raises(mf.InsufficientWindowError):
+        mf.moment_profile(1000.5, 0.5, 1000, (1.5,), table, x_window=1500.0)
+    with pytest.raises(mf.InsufficientWindowError, match="at s=1.1"):
+        mf.moment_profile(2.5, 0.5, 2, (0.55, 2.0), table)
 
 
 # ----------------------------------------------------------------- tails --
@@ -396,6 +408,19 @@ def test_fractal_estimates_filters_and_errors(table, weak_spec):
         mf.fractal_estimates(weak_spec, table, (1.5,), (2, 5))
     with pytest.raises(ValueError):
         mf.fractal_estimates(weak_spec, table, (0.4,), (1000, 90_000))
+    # the zeta checks: records at poles, a table below 2 lambda, and a
+    # tail above rel_tol
+    at_poles = dataclasses.replace(weak_spec,
+                                   lam=weak_spec.n_left.astype(np.float64))
+    with pytest.raises(SecularPoleError):
+        mf.fractal_estimates(at_poles, table, (1.5,), (1000, 90_000),
+                             rel_tol=1e-6)
+    with pytest.raises(mf.InsufficientWindowError):
+        mf.fractal_estimates(weak_spec, build_table(150_000), (1.5,),
+                             (1000, 90_000), rel_tol=1e-6)
+    with pytest.raises(mf.InsufficientWindowError):
+        mf.fractal_estimates(weak_spec, table, (1.5,), (1000, 90_000),
+                             rel_tol=1e-30)
     pinned = mf.fractal_estimates(weak_spec, table, (1.5,), (1000, 90_000),
                                   filters=mf.FilterConfig(alpha=0.3),
                                   rel_tol=1e-6)
@@ -543,7 +568,8 @@ def test_engine_unweighted_annulus_and_shannon(big):
         ref_z = exact_sum(direct_terms(big, lam, 2.0))
         ref_zl = exact_sum(direct_terms(big, lam, 2.0, log=True))
         want = math.log(ref_z) + 2.0 * ref_zl / ref_z
-        got = mf._shannon_entropy(lam, big, float(big.x_max))
+        got = mf.moment_profile(lam, 1.0, 0, (1.0,), big,
+                                rel_tol=math.inf).H_q[1.0]
         rel_z = (bz + 40.0 * U * z) / z
         tol = rel_z * (1.0 + 2.0 * abs(zl) / z) \
             + 2.0 * (bl + 40.0 * U * float(np.abs(direct_terms(
@@ -571,13 +597,45 @@ def test_batch_zeta_matches_single_calls(big):
     rng = np.random.default_rng(11)
     lams = np.sort(rng.uniform(1e3, 1e6, 40)) + 0.5
     q_list = [1.25, 1.5, 2.0, 1.0]
-    out, shan = mf._batch_zeta(lams, q_list, big, math.inf, True)
+    out, _, shan = mf._checked_zeta(big, lams, [2.0 * q for q in q_list],
+                                    rel_tol=math.inf, shannon=True)
     for i, lam in enumerate(lams):
         for k, q in enumerate(q_list):
             one = mf.zeta_lambda(float(lam), 2.0 * q, big, rel_tol=math.inf)
             assert abs(out[i, k] - one.value) <= 4.0 * U * one.value
-        h = mf._shannon_entropy(float(lam), big, float(big.x_max))
+        h = mf.moment_profile(float(lam), 1.0, 0, (1.0,), big,
+                              rel_tol=math.inf).H_q[1.0]
         assert abs(shan[i] - h) <= 16.0 * U * max(1.0, abs(h))
+
+
+def test_moment_profile_matches_exact_sums_at_scale(big):
+    # one engine query per profile: every zeta value within the engine's
+    # bound of the exactly rounded direct sum, with a cutoff X or without,
+    # and the Shannon entropy within the error those bounds propagate to
+    qs = (1.0, 1.25, 1.5, 2.0, 2.5)
+    kernels = [(2.0 * q, False) for q in qs] + [(2.0, True)]
+    for lam in (100_000.37, 555_555.25, 999_999.5, 2_600_000.75):
+        for x in (None, 4096.0 * math.floor(2.5 * lam / 4096.0) + 1234.5):
+            prof = mf.moment_profile(lam, 0.5, int(lam), qs, big, x_window=x,
+                                     rel_tol=math.inf)
+            bounds = mf._lattice_sums(big, [lam], kernels, x)[1][0]
+            for q, bound in zip(qs, bounds):
+                terms = direct_terms(big, lam, 2.0 * q, x)
+                mag = float(terms.sum())
+                assert 0.0 <= bound <= 1e-15 * mag
+                rounding = (math.log2(terms.size) + 16.0) * U * mag
+                assert abs(prof.zeta2q[q] - exact_sum(terms)) \
+                    <= bound + rounding
+                assert prof.m_q[q] == 0.5 ** (2.0 * q) * prof.zeta2q[q]
+            z = exact_sum(direct_terms(big, lam, 2.0, x))
+            logs = direct_terms(big, lam, 2.0, x, log=True)
+            zl = exact_sum(logs)
+            want = math.log(z) + 2.0 * zl / z
+            rel_z = (bounds[0] + 40.0 * U * z) / z
+            tol = rel_z * (1.0 + 2.0 * abs(zl) / z) \
+                + 2.0 * (bounds[-1] + 40.0 * U * float(np.abs(logs).sum())) / z \
+                + 8.0 * U * (abs(math.log(z)) + 2.0 * abs(zl) / z)
+            assert abs(prof.H_q[1.0] - want) <= tol
 
 
 def test_block_moments_built_once_and_lazily(monkeypatch):
