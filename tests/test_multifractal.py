@@ -146,11 +146,12 @@ def test_moment_profile_validation(table):
     # and a tail above rel_tol at one q of the grid
     with pytest.raises(SecularPoleError):
         mf.moment_profile(25.0, 0.5, 25, (1.5,), table)
-    with pytest.raises(mf.InsufficientWindowError):
+    with pytest.raises(mf.InsufficientWindowError, match="exceeds table"):
         mf.moment_profile(2.5, 0.5, 2, (1.5,), table,
                           x_window=2 * table.x_max)
-    with pytest.raises(mf.InsufficientWindowError):
-        mf.moment_profile(1000.5, 0.5, 1000, (1.5,), table, x_window=1500.0)
+    with pytest.raises(mf.InsufficientWindowError, match="below 2"):
+        mf.moment_profile(1000.5, 0.5, 1000, (1.5,), table, x_window=1500.0,
+                          rel_tol=math.inf)
     with pytest.raises(mf.InsufficientWindowError, match="at s=1.1"):
         mf.moment_profile(2.5, 0.5, 2, (0.55, 2.0), table)
 
@@ -415,10 +416,10 @@ def test_fractal_estimates_filters_and_errors(table, weak_spec):
     with pytest.raises(SecularPoleError):
         mf.fractal_estimates(at_poles, table, (1.5,), (1000, 90_000),
                              rel_tol=1e-6)
-    with pytest.raises(mf.InsufficientWindowError):
+    with pytest.raises(mf.InsufficientWindowError, match="below 2"):
         mf.fractal_estimates(weak_spec, build_table(150_000), (1.5,),
-                             (1000, 90_000), rel_tol=1e-6)
-    with pytest.raises(mf.InsufficientWindowError):
+                             (1000, 90_000), rel_tol=math.inf)
+    with pytest.raises(mf.InsufficientWindowError, match="certified tail"):
         mf.fractal_estimates(weak_spec, table, (1.5,), (1000, 90_000),
                              rel_tol=1e-30)
     pinned = mf.fractal_estimates(weak_spec, table, (1.5,), (1000, 90_000),
