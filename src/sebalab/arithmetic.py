@@ -10,18 +10,22 @@ Sieves and serves all arithmetic inputs of the billiard computation:
   N         = {n : r2(n) > 0}, ascending, n0 = 0 included (r2(0) = 1).
   f(n)      = r2(n) / (4 * 2^omega1(n)), an exact rational.
 
-The sieve is factorization-driven: a smallest-prime-factor table plus a
-vectorized exponent-peeling pass evaluates the divisor-character formula in
-its multiplicative form (chi4 is totally multiplicative, so
-sum_{d|n} chi4(d) = prod_p sum_{k<=e_p} chi4(p^k)).  Everything is exact
-integer arithmetic.  Construction may be chunked arbitrarily; the output is
-independent of the partition, and the finished table is immutable, so
-concurrent readers are safe.
+The sieve evaluates the divisor-character formula in its multiplicative form
+(chi4 is totally multiplicative) over the primes p <= sqrt(x_max) only, as in
+Bays & Hudson (BIT 17, 1977).  A strided pass over the multiples of each
+power p^k <= x_max multiplies small[n] by p; for p = 1 mod 4 it doubles b1
+and counts omega1 at k = 1 and turns b1's factor k into k + 1 at k >= 2
+(exact: b1 holds that factor), and for p = 3 mod 4 it adds (-1)^(k+1) to
+odd3, which so counts the primes of odd exponent.  n <= x_max has at most
+one prime factor above sqrt(x_max), so n // small[n] is 1 or that prime, and
+one vectorized pass applies it.  All arithmetic is exact in int32 (x_max <
+2^31); the finished table is immutable, so concurrent readers are safe.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -38,13 +42,13 @@ _HALF_LOG2 = 0.34657359027997264  # (1/2) log 2, the normal-order exponent of lo
 _CACHE_MAGIC = b"SEBA"
 _CACHE_VERSION = 1
 
-# Peak memory of build_table, from tracemalloc: the dense arrays and the
-# index of N take under 20 bytes per integer (16.4 at x_max = 11M, 13.2 at
-# 22M, peel chunk included), and the peel state of one sieve chunk a fixed
-# 81 bytes per chunk element (80.2 MB at x_max = 1M, a single chunk).
-_SIEVE_CHUNK = 1_000_000
-_BYTES_PER_N = 20
-_BYTES_PER_CHUNK_N = 81
+# Peak memory of build_table, from tracemalloc: int32 small and b1 (r2) and
+# int8 omega1 and odd3 take 10 bytes per integer, one cofactor chunk under
+# 1 MB (20.7 MB at x_max = 2M, 110.7 MB at 11M); 1M-element chunks ran no
+# faster and peaked ~10 MB higher.
+_COFACTOR_CHUNK = 1 << 16
+_BYTES_PER_N = 11
+_INT32_MAX = 2 ** 31 - 1
 DEFAULT_MEMORY_BUDGET = 2 * 1024 ** 3
 
 _BLOCK_WIDTH = 4096    # integers per block of the moment tables
@@ -133,76 +137,64 @@ def _block_moments(table: ArithmeticTable) -> BlockMoments:
     return BlockMoments(h, start, r2, unit)
 
 
-def _smallest_prime_factor(x_max: int) -> np.ndarray:
-    """spf[n] = smallest prime factor of n for n >= 2 (spf[p] = p for primes)."""
-    spf = np.zeros(x_max + 1, dtype=np.int32)
-    for p in range(2, int(x_max ** 0.5) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p::p]
-            sl[sl == 0] = p
-    unset = np.nonzero(spf == 0)[0]
-    spf[unset] = unset
-    return spf
-
-
 def _sieve_bytes(x_max: int) -> int:
     """Upper estimate of the peak memory build_table(x_max) allocates."""
-    n_total = x_max + 1
-    return _BYTES_PER_N * n_total + _BYTES_PER_CHUNK_N * min(n_total, _SIEVE_CHUNK)
+    return _BYTES_PER_N * (x_max + 1)
 
 
 def build_table(x_max: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> ArithmeticTable:
     """Sieve r2, omega1 and the representable set on [0, x_max].
 
-    Raises CapacityError if the estimated working set exceeds memory_budget.
+    Raises ValueError unless 0 <= x_max <= 2^31 - 1 (the int32 range of r2),
+    and CapacityError if the estimated working set exceeds memory_budget.
     """
-    if x_max < 0:
-        raise ValueError("x_max must be >= 0")
+    if not 0 <= x_max <= _INT32_MAX:
+        raise ValueError(f"x_max must be in [0, {_INT32_MAX}], got {x_max}")
     if _sieve_bytes(x_max) > memory_budget:
         raise CapacityError(
             f"x_max={x_max} needs ~{_sieve_bytes(x_max)} bytes, "
             f"budget is {memory_budget}")
 
     n_total = x_max + 1
-    spf = _smallest_prime_factor(x_max)
-    b1 = np.ones(n_total, dtype=np.int32)    # prod (e_p + 1), p = 1 mod 4
-    bad = np.zeros(n_total, dtype=bool)      # odd exponent at some p = 3 mod 4
+    small = np.ones(n_total, dtype=np.int32)   # prod p^e_p over p <= sqrt(x_max)
+    b1 = np.ones(n_total, dtype=np.int32)      # prod (e_p + 1), p = 1 mod 4
+    odd3 = np.zeros(n_total, dtype=np.int8)    # #{p = 3 mod 4 <= sqrt : e_p odd}
     omega1 = np.zeros(n_total, dtype=np.int8)
+    for p in range(2, math.isqrt(x_max) + 1):
+        if small[p] > 1:                       # composite: small[p] = p by now
+            continue
+        q, k = p, 1
+        while q <= x_max:                      # the multiples of p^k
+            v = small[q::q]                    # views, updated in place
+            v *= p
+            if p & 3 == 1:
+                v = b1[q::q]
+                if k == 1:
+                    v <<= 1
+                    v = omega1[q::q]
+                    v += 1
+                else:                          # b1 holds the factor k of p
+                    v //= k
+                    v *= k + 1
+            elif p & 3 == 3:
+                v = odd3[q::q]
+                v += 1 if k & 1 else -1
+            q *= p
+            k += 1
 
-    # the peel state of one chunk sets the peak memory: on the 11M sieve
-    # 1M-element chunks peak ~24 MB below 2M-element ones, at the same speed
-    for lo in range(2, n_total, _SIEVE_CHUNK):
-        hi = min(lo + _SIEVE_CHUNK, n_total)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        pos = np.arange(lo, hi, dtype=np.int64)
-        active = np.nonzero(rem > 1)[0]
-        while active.size:
-            r = rem[active]
-            p = spf[r].astype(np.int64)
-            e = np.ones(active.size, dtype=np.int64)
-            r //= p
-            div = r % p == 0
-            while div.any():
-                j = np.nonzero(div)[0]
-                r[j] //= p[j]
-                e[j] += 1
-                div[j] = r[j] % p[j] == 0
-            pm = p & 3
-            is1 = pm == 1
-            if is1.any():
-                tgt = pos[active[is1]]
-                b1[tgt] *= (e[is1] + 1).astype(np.int32)
-                omega1[tgt] += 1
-            is3 = (pm == 3) & (e & 1 == 1)
-            if is3.any():
-                bad[pos[active[is3]]] = True
-            rem[active] = r
-            active = active[r > 1]
+    # n // small[n] is 1 or the one prime factor of n above sqrt(x_max); then
+    # r2 = 4 * b1, or 0 where some p = 3 mod 4 has an odd exponent
+    for lo in range(0, n_total, _COFACTOR_CHUNK):
+        hi = min(lo + _COFACTOR_CHUNK, n_total)
+        c = np.arange(lo, hi, dtype=np.int32) // small[lo:hi]
+        one = (c & 3 == 1) & (c > 1)
+        omega1[lo:hi] += one
+        b1[lo:hi] <<= one
+        b1[lo:hi] <<= 2
+        b1[lo:hi] *= (odd3[lo:hi] == 0) & (c & 3 != 3)
 
-    del spf
-    r2 = b1            # r2 = 4 * b1 where no p = 3 mod 4 has an odd exponent
-    r2 *= 4
-    r2[bad] = 0
+    del small, odd3
+    r2 = b1
     r2[0] = 1
     rep = np.flatnonzero(r2).astype(np.int64, copy=False)
     logger.debug("sieved x_max=%d, |N|=%d", x_max, len(rep))

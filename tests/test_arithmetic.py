@@ -129,18 +129,100 @@ def test_capacity_error():
 
 
 def test_capacity_estimate_covers_traced_peak():
-    # at 2M the fixed peel state of a 1M-element chunk is most of the peak
-    # (90 MB traced, 45 B/n), which a per-n estimate alone misses
-    x = 2_000_000
-    tracemalloc.start()
-    try:
-        build_table(x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= arithmetic._sieve_bytes(x)
+    # the dense arrays are 10 B/n; at 2M one cofactor chunk's temporaries
+    # weigh most against them (20.7 MB traced, 10.33 B/n)
+    for x in (2_000_000, 11_000_000):
+        tracemalloc.start()
+        try:
+            build_table(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= arithmetic._sieve_bytes(x), x
     # the 10^8 sieve that a weak solve to 10^7 needs fits the default budget
     assert arithmetic._sieve_bytes(10 ** 8) <= arithmetic.DEFAULT_MEMORY_BUDGET
+
+
+def test_x_max_beyond_int32_rejected_before_allocating(monkeypatch):
+    # r2, the sieved prime-power part and the cofactor are int32
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"build_table reached numpy.{name}")
+
+    monkeypatch.setattr(arithmetic, "np", NoNumpy())
+    with pytest.raises(ValueError, match="2147483647"):
+        build_table(2 ** 31, memory_budget=10 ** 13)
+    # the largest int32 x_max passes the guard (and only then reaches numpy)
+    with pytest.raises(AssertionError, match="reached numpy"):
+        build_table(2 ** 31 - 1, memory_budget=10 ** 13)
+
+
+def omega1_trial(n):
+    """Distinct primes p = 1 mod 4 dividing n, by trial division."""
+    count, d = 0, 2
+    while d * d <= n:
+        if n % d == 0:
+            count += d % 4 == 1
+            while n % d == 0:
+                n //= d
+        d += 1
+    return count + (n > 1 and n % 4 == 1)
+
+
+@pytest.fixture(scope="module")
+def million():
+    return build_table(1_000_000)
+
+
+@pytest.fixture(scope="module")
+def past_1019_squared():
+    return build_table(4 * 1019 ** 2 + 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1009, 1019])
+def test_prefix_of_larger_table_across_prime_square(p, past_1019_squared):
+    # only primes <= isqrt(x_max) are sieved, so p is sieved in the tables of
+    # p^2 and p^2 + 1 (and the large one) but enters n = p * m as the
+    # cofactor in the table of p^2 - 1
+    big = past_1019_squared
+    for x in (p * p - 1, p * p, p * p + 1):
+        t = build_table(x)
+        assert t.r2.dtype == np.int32 and t.omega1.dtype == np.int8
+        assert t.representable.dtype == np.int64
+        assert np.array_equal(t.r2, big.r2[:x + 1]), x
+        assert np.array_equal(t.omega1, big.omega1[:x + 1]), x
+        assert np.array_equal(t.representable,
+                              big.representable[big.representable <= x]), x
+
+
+def test_top_of_million_table_against_divisors(million):
+    # most n here have a prime factor above sqrt(10^6) = 1000, which only the
+    # cofactor pass sees
+    for n in range(1_000_000 - 1999, 1_000_001):
+        assert int(million.r2[n]) == chi4_divisor_sum(n), n
+        assert int(million.omega1[n]) == omega1_trial(n), n
+
+
+@pytest.mark.parametrize("which", ["million", "past_1019_squared"])
+def test_prime_power_families(which, request):
+    t = request.getfixturevalue(which)
+
+    def powers(base, factor=1):
+        n, k = factor, 0
+        while n <= t.x_max:
+            yield k, n
+            n, k = n * base, k + 1
+
+    for p in (5, 13):                            # r2(p^k) = 4 (k + 1)
+        for k, n in powers(p):
+            assert (int(t.r2[n]), int(t.omega1[n])) == (4 * (k + 1), int(k > 0)), n
+    for k, n in powers(9):                       # 3^(2k): r2 = 4
+        assert (int(t.r2[n]), int(t.omega1[n])) == (4, 0), n
+    for k, n in powers(9, 15):                   # 3^(2k+1) * 5: odd exponent
+        assert (int(t.r2[n]), int(t.omega1[n])) == (0, 1), n
+    for k, n in powers(5, 21):                   # 21 * 5^k: 3 and 7 both odd
+        assert (int(t.r2[n]), int(t.omega1[n])) == (0, int(k > 0)), n
+        assert chi4_divisor_sum(n) == 0
 
 
 def test_range_errors(table):
