@@ -44,7 +44,7 @@ _CACHE_VERSION = 1
 
 # Peak memory of build_table, from tracemalloc: int32 small and b1 (r2) and
 # int8 omega1 and odd3 take 10 bytes per integer, one cofactor chunk under
-# 1 MB (20.7 MB at x_max = 2M, 110.7 MB at 11M); 1M-element chunks ran no
+# 1 MB (20.7 MB at x_max = 2M, 110.8 MB at 11M); 1M-element chunks ran no
 # faster and peaked ~10 MB higher.
 _COFACTOR_CHUNK = 1 << 16
 _BYTES_PER_N = 11

@@ -130,7 +130,7 @@ def test_capacity_error():
 
 def test_capacity_estimate_covers_traced_peak():
     # the dense arrays are 10 B/n; at 2M one cofactor chunk's temporaries
-    # weigh most against them (20.7 MB traced, 10.33 B/n)
+    # weigh most against them (20.7 MB traced, 10.36 B/n)
     for x in (2_000_000, 11_000_000):
         tracemalloc.start()
         try:
