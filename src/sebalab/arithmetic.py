@@ -24,10 +24,7 @@ one vectorized pass applies it.  All arithmetic is exact in int32 (x_max <
 
 from __future__ import annotations
 
-import logging
 import math
-import os
-import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -35,12 +32,7 @@ from typing import Dict, List
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
-
 _HALF_LOG2 = 0.34657359027997264  # (1/2) log 2, the normal-order exponent of log r2
-
-_CACHE_MAGIC = b"SEBA"
-_CACHE_VERSION = 1
 
 # Peak memory of build_table, from tracemalloc: int32 small and b1 (r2) and
 # int8 omega1 and odd3 take 10 bytes per integer, one cofactor chunk under
@@ -57,7 +49,7 @@ _BLOCK_CHUNK = 64      # blocks per product: 12 MB of temporaries at 11M
 
 
 class CapacityError(Exception):
-    """x_max exceeds the configured memory budget."""
+    """x_max needs more than DEFAULT_MEMORY_BUDGET to sieve."""
 
 
 class RangeError(ValueError):
@@ -142,18 +134,18 @@ def _sieve_bytes(x_max: int) -> int:
     return _BYTES_PER_N * (x_max + 1)
 
 
-def build_table(x_max: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> ArithmeticTable:
-    """Sieve r2, omega1 and the representable set on [0, x_max].
-
-    Raises ValueError unless 0 <= x_max <= 2^31 - 1 (the int32 range of r2),
-    and CapacityError if the estimated working set exceeds memory_budget.
+def build_table(x_max: int) -> ArithmeticTable:
+    """Sieve r2, omega1 and the representable set on [0, x_max]: the one
+    way to get a table.  Raises ValueError unless 0 <= x_max <= 2^31 - 1
+    (the int32 range of r2), and CapacityError if the estimated working set
+    exceeds DEFAULT_MEMORY_BUDGET (read at call time), before allocating.
     """
     if not 0 <= x_max <= _INT32_MAX:
         raise ValueError(f"x_max must be in [0, {_INT32_MAX}], got {x_max}")
-    if _sieve_bytes(x_max) > memory_budget:
+    if _sieve_bytes(x_max) > DEFAULT_MEMORY_BUDGET:
         raise CapacityError(
             f"x_max={x_max} needs ~{_sieve_bytes(x_max)} bytes, "
-            f"budget is {memory_budget}")
+            f"budget is {DEFAULT_MEMORY_BUDGET}")
 
     n_total = x_max + 1
     small = np.ones(n_total, dtype=np.int32)   # prod p^e_p over p <= sqrt(x_max)
@@ -197,7 +189,6 @@ def build_table(x_max: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Arith
     r2 = b1
     r2[0] = 1
     rep = np.flatnonzero(r2).astype(np.int64, copy=False)
-    logger.debug("sieved x_max=%d, |N|=%d", x_max, len(rep))
     return ArithmeticTable(x_max, r2, omega1, rep)
 
 
@@ -252,71 +243,6 @@ def landau_ratio(table: ArithmeticTable, x: int) -> float:
         raise ValueError("x must be >= 2")
     count = int(np.searchsorted(table.representable, x, side="right"))
     return count * float(np.sqrt(np.log(x))) / x
-
-
-# ---------------------------------------------------------------------------
-# binary cache: magic, version u32, x_max u64, count u64, then delta-encoded N
-# (uint32 little-endian; first entry absolute) and per-element r2 (uint32),
-# omega1 (uint8).  The stored data round-trips bit-exactly.  Only elements of
-# N are serialized; omega1 at non-representable n (where no consumer reads
-# it) is reconstructed as 0 on load.
-# ---------------------------------------------------------------------------
-
-_CACHE_HEADER = struct.Struct("<IQQ")   # version, x_max, count after the magic
-
-
-def save_table(table: ArithmeticTable, path) -> None:
-    """Write the cache to a temporary file beside path, then os.replace it.
-
-    An interrupted write leaves path as it was (absent or the old cache);
-    the temporary file is removed when the write fails in this process.
-    """
-    rep = table.representable
-    deltas = np.diff(rep, prepend=0).astype(np.uint32)
-    path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(_CACHE_HEADER.pack(_CACHE_VERSION, table.x_max, len(rep)))
-            fh.write(deltas.astype("<u4").tobytes())
-            fh.write(table.r2[rep].astype("<u4").tobytes())
-            fh.write(table.omega1[rep].astype("u1").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def load_table(path) -> ArithmeticTable:
-    """Read a cache written by save_table; ValueError on a foreign, truncated
-    or overlong file (its size must match the header's element count)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"not an arithmetic cache file: magic {magic!r}")
-        header = fh.read(_CACHE_HEADER.size)
-        if len(header) != _CACHE_HEADER.size:
-            raise ValueError("truncated arithmetic cache: short header")
-        version, x_max, count = _CACHE_HEADER.unpack(header)
-        if version != _CACHE_VERSION:
-            raise ValueError(f"unsupported cache version {version}")
-        size = os.fstat(fh.fileno()).st_size
-        want = len(_CACHE_MAGIC) + _CACHE_HEADER.size + 9 * count
-        if size != want:
-            raise ValueError(
-                f"arithmetic cache holds {size} bytes, its header ({count} "
-                f"elements) needs {want}: truncated or corrupt")
-        deltas = np.frombuffer(fh.read(4 * count), dtype="<u4")
-        r2_rep = np.frombuffer(fh.read(4 * count), dtype="<u4")
-        om_rep = np.frombuffer(fh.read(count), dtype="u1")
-    rep = np.cumsum(deltas.astype(np.int64))
-    r2 = np.zeros(x_max + 1, dtype=np.int32)
-    omega1 = np.zeros(x_max + 1, dtype=np.int8)
-    r2[rep] = r2_rep.astype(np.int32)
-    omega1[rep] = om_rep.astype(np.int8)
-    return ArithmeticTable(int(x_max), r2, omega1, rep)
 
 
 def representable_list(table: ArithmeticTable, x: int) -> List[int]:

@@ -69,7 +69,7 @@ def _add_coupling(p):
     p.add_argument("--table-max", type=int, default=None,
                    help="sieve size (default: large enough for the cutoff)")
     p.add_argument("--threads", type=int, default=None,
-                   help="solver threads (default: SEBALAB_THREADS or 1)")
+                   help="solver threads (default: 1)")
 
 
 def build_parser():
@@ -151,7 +151,8 @@ def build_parser():
     p.add_argument("--config", required=True, metavar="PATH",
                    help="previous report (csv or json) or bare config json")
     p.add_argument("--out", default=None, metavar="PATH")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="solver threads (default: 1)")
 
     return parser
 
@@ -351,6 +352,12 @@ def execute(cfg, threads=None):
     cmd = cfg.get("command")
     if cmd not in _HANDLERS:
         raise ValueError(f"unknown command in config: {cmd!r}")
+    # every key resolve_config writes: the subparser's dests but these three
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[cmd]
+    missing = sorted({a.dest for a in sub._actions} - {"help", "out", "threads"} - cfg.keys())
+    if missing:
+        raise ValueError(f"{cmd} config lacks {', '.join(missing)}")
     if cmd in ("epstein", "exponents") and cfg["format"] == "csv":
         raise ValueError(f"{cmd} produces a nested report; use json")
     if cmd == "moments" and cfg["limit"] < 1:
@@ -418,10 +425,7 @@ def main(argv=None):
     except (ValueError, CapacityError) as err:
         print(f"sebalab: {err}", file=sys.stderr)
         return 2
-    except RuntimeError as err:
-        print(f"sebalab: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (RuntimeError, OSError) as err:
         print(f"sebalab: {err}", file=sys.stderr)
         return 1
     return 0

@@ -73,8 +73,8 @@ class RectangularForm:
     a: float
 
     def __post_init__(self):
-        if not (isinstance(self.a, (int, float)) and self.a > 0):
-            raise ValueError("aspect ratio a must be a positive real")
+        if not (isinstance(self.a, (int, float)) and 0 < self.a < math.inf):
+            raise ValueError(f"a must be a positive finite real, got {self.a!r}")
 
     def Q(self, m: float, n: float) -> float:
         return self.a ** 2 * m * m + self.a ** -2 * n * n
@@ -88,6 +88,11 @@ class RectangularForm:
     def min_nonzero(self) -> float:
         """Smallest nonzero value of Q, attained on an axis."""
         return min(self.a ** 2, self.a ** -2)
+
+
+def _check_finite(s: Number) -> None:
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
 
 
 @dataclass(frozen=True)
@@ -209,6 +214,7 @@ def epstein_direct(form: RectangularForm, s: Number, tol: float = 1e-10,
     + pi d^2/4 (fundamental-cell covering argument for a covolume-1
     lattice with cell diameter d).
     """
+    _check_finite(s)
     sigma = s.real if isinstance(s, complex) else float(s)
     if sigma <= 1.05:
         raise ValueError("epstein_direct requires Re s > 1.05 "
@@ -325,6 +331,7 @@ def epstein_continued(form: RectangularForm, s: Number, dps: int = 25) -> Epstei
     is exponential, so the lattice cutoff is tiny and the certified error is
     dominated by working-precision rounding.
     """
+    _check_finite(s)
     s_c = complex(s)
     if s_c == 0 or s_c == 1:
         raise PoleError(f"zeta_Q has its pole structure at s={s}; not evaluable")
@@ -341,6 +348,7 @@ def phi_Q(s: Number) -> Number:
     phi_Q(1/2) = 1 and phi_Q(s) phi_Q(1-s) = 1.  Integer s hits a gamma pole
     on one side or the other and raises PoleError.
     """
+    _check_finite(s)
     s_c = complex(s)
     if s_c.imag == 0 and s_c.real == int(s_c.real):
         raise PoleError(f"phi_Q pole/zero degeneracy at integer s={s}")

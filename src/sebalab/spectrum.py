@@ -54,7 +54,6 @@ widest, as one matrix.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -554,15 +553,6 @@ def solve_ground(table: ArithmeticTable, config: CouplingConfig) -> float:
 # ranged solving: chunks of intervals, optionally on threads
 # ---------------------------------------------------------------------------
 
-def _thread_count(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("SEBALAB_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return 1
-
-
 def solve_range(x_min: int, x_max_solve: int, table: ArithmeticTable,
                 config: CouplingConfig, threads: Optional[int] = None,
                 chunk: int = 512) -> SebaSpectrum:
@@ -572,8 +562,8 @@ def solve_range(x_min: int, x_max_solve: int, table: ArithmeticTable,
     the output is identical for any thread count (chunks are fixed by index,
     each chunk is solved independently, and results are reassembled in
     order).  Both modes run the same lockstep loop per chunk: weak mode with
-    the two-level kernel, strong mode with padded local windows.  chunk, the
-    number of intervals per chunk, must be at least 1.
+    the two-level kernel, strong mode with padded local windows.  Chunks of
+    chunk >= 1 intervals run on `threads` threads (None means one).
     """
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1 interval, got {chunk}")
@@ -593,7 +583,7 @@ def solve_range(x_min: int, x_max_solve: int, table: ArithmeticTable,
     def run(block: Tuple[int, int]) -> np.ndarray:
         return _solve_chunk(table, prefix, block[0], block[1], config)
 
-    n_workers = _thread_count(threads)
+    n_workers = 1 if threads is None else max(1, int(threads))
     if n_workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(run, blocks))

@@ -1,6 +1,4 @@
 import math
-import os
-import tempfile
 import tracemalloc
 
 import numpy as np
@@ -10,9 +8,9 @@ from hypothesis import strategies as st
 
 from sebalab import arithmetic
 from sebalab.arithmetic import (ArithmeticTable, CapacityError, RangeError,
-                                build_table, f_value, landau_ratio, load_table,
+                                build_table, f_value, landau_ratio,
                                 normal_order_filter, omega1_histogram,
-                                representable_list, save_table, summatory_r2)
+                                representable_list, summatory_r2)
 
 
 def lattice_r2(x_max):
@@ -123,9 +121,18 @@ def test_landau_ratio_sane(table):
     assert 0.7 < landau_ratio(table, 100_000) < 0.9
 
 
-def test_capacity_error():
+class NoNumpy:
+    """Stands in for the module's numpy: any use fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"build_table reached numpy.{name}")
+
+
+def test_capacity_error(monkeypatch):
+    # 10^9 needs ~11 GB against the 2 GiB default; refused before allocating
+    monkeypatch.setattr(arithmetic, "np", NoNumpy())
     with pytest.raises(CapacityError):
-        build_table(10 ** 9, memory_budget=10 ** 6)
+        build_table(10 ** 9)
 
 
 def test_capacity_estimate_covers_traced_peak():
@@ -145,16 +152,13 @@ def test_capacity_estimate_covers_traced_peak():
 
 def test_x_max_beyond_int32_rejected_before_allocating(monkeypatch):
     # r2, the sieved prime-power part and the cofactor are int32
-    class NoNumpy:
-        def __getattr__(self, name):
-            raise AssertionError(f"build_table reached numpy.{name}")
-
     monkeypatch.setattr(arithmetic, "np", NoNumpy())
+    monkeypatch.setattr(arithmetic, "DEFAULT_MEMORY_BUDGET", 10 ** 13)
     with pytest.raises(ValueError, match="2147483647"):
-        build_table(2 ** 31, memory_budget=10 ** 13)
+        build_table(2 ** 31)
     # the largest int32 x_max passes the guard (and only then reaches numpy)
     with pytest.raises(AssertionError, match="reached numpy"):
-        build_table(2 ** 31 - 1, memory_budget=10 ** 13)
+        build_table(2 ** 31 - 1)
 
 
 def omega1_trial(n):
@@ -230,71 +234,6 @@ def test_range_errors(table):
         summatory_r2(table, 200_000)
     with pytest.raises(RangeError):
         omega1_histogram(table, -1)
-
-
-def test_cache_round_trip(table):
-    small = build_table(5000)
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "arith.bin")
-        path2 = os.path.join(d, "arith2.bin")
-        save_table(small, path)
-        back = load_table(path)
-        save_table(back, path2)
-        with open(path, "rb") as a, open(path2, "rb") as b:
-            assert a.read() == b.read()  # bit-exact round trip of the format
-    assert back.x_max == small.x_max
-    assert np.array_equal(back.r2, small.r2)
-    assert np.array_equal(back.representable, small.representable)
-    # omega1 is serialized per element of N (that is where every consumer
-    # reads it); verify it there
-    rep = small.representable
-    assert np.array_equal(back.omega1[rep], small.omega1[rep])
-
-
-def test_cache_rejects_garbage():
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "bogus.bin")
-        with open(path, "wb") as fh:
-            fh.write(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ValueError):
-            load_table(path)
-
-
-def test_cache_rejects_truncated_and_overlong_files(tmp_path):
-    path = tmp_path / "arith.bin"
-    save_table(build_table(5000), path)
-    whole = path.read_bytes()
-    # a prefix is what a write cut off part-way leaves: inside the header,
-    # inside the element arrays, one byte short
-    for size in (10, len(whole) // 2, len(whole) - 1):
-        path.write_bytes(whole[:size])
-        with pytest.raises(ValueError):
-            load_table(path)
-    path.write_bytes(whole + b"\x00")
-    with pytest.raises(ValueError):
-        load_table(path)
-
-
-def test_interrupted_save_keeps_the_old_cache(tmp_path, monkeypatch):
-    path = tmp_path / "arith.bin"
-    old = build_table(2000)
-    save_table(old, path)
-    before = path.read_bytes()
-
-    class Interrupted(Exception):
-        pass
-
-    def cut(*args):
-        raise Interrupted
-
-    monkeypatch.setattr(os, "replace", cut)
-    with pytest.raises(Interrupted):
-        save_table(build_table(5000), path)
-    monkeypatch.undo()
-    # the target is untouched and the half-done temporary file is gone
-    assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["arith.bin"]
-    assert np.array_equal(load_table(path).representable, old.representable)
 
 
 def test_tiny_tables():

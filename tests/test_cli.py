@@ -11,12 +11,16 @@ from sebalab import __version__, cli
 from sebalab.cli import build_parser, load_config, main, resolve_config
 
 
-def run_cli(*args, env=None):
-    merged = dict(os.environ)
-    if env:
-        merged.update(env)
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*args):
+    # the child imports this checkout's package, never an installed copy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     return subprocess.run([sys.executable, "-m", "sebalab.cli", *args],
-                          capture_output=True, text=True, env=merged)
+                          capture_output=True, text=True, env=env)
 
 
 def read_csv(path):
@@ -138,10 +142,8 @@ def test_thread_count_does_not_change_bytes(tmp_path):
     one, four = tmp_path / "t1.csv", tmp_path / "t4.csv"
     base = ("spectrum", "--x-min", "10", "--x-max", "2000",
             "--theta", "-2.0")
-    assert run_cli(*base, "--out", str(one),
-                   env={"SEBALAB_THREADS": "1"}).returncode == 0
-    assert run_cli(*base, "--out", str(four),
-                   env={"SEBALAB_THREADS": "4"}).returncode == 0
+    assert run_cli(*base, "--threads", "1", "--out", str(one)).returncode == 0
+    assert run_cli(*base, "--threads", "4", "--out", str(four)).returncode == 0
     assert one.read_bytes() == four.read_bytes()
 
 
@@ -216,6 +218,27 @@ def test_invalid_config_rejected_before_the_sieve(tmp_path, monkeypatch,
         resolve_config(build_parser().parse_args(nested_csv))))
     assert main(["rerun", "--config", str(saved)]) == 2
     assert "produces a nested report; use json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, missing", [
+    ({"command": "spectrum"}, "beta_b, beta_c, format, min_span, mode, "
+     "multiplier, root_tol, table_max, theta, x_max, x_min"),
+    ({"command": "sieve", "x_max": 10}, "format"),
+])
+def test_rerun_of_incomplete_config_is_validation(tmp_path, cfg, missing):
+    saved = tmp_path / "cfg.json"
+    saved.write_text(json.dumps(cfg))
+    got = run_cli("rerun", "--config", str(saved))
+    assert got.returncode == 2
+    assert got.stderr == f"sebalab: {cfg['command']} config lacks {missing}\n"
+    assert got.stdout == ""
+
+
+@pytest.mark.parametrize("s", ["inf", "-inf", "nan"])
+def test_epstein_rejects_non_finite_s(s, capsys):
+    assert main(["epstein", "--a", "1", f"--s={s}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sebalab: ") and "finite" in err
 
 
 def test_stdout_delivery(capsys):

@@ -339,6 +339,25 @@ def test_form_validation():
     assert F12.Q(-2, -3) == F12.Q(2, 3)
 
 
+@pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
+def test_form_rejects_non_finite_aspect(a):
+    # at a = inf every q = n^2/a^2 is 0 and the continuation's lattice
+    # loop would never end
+    with pytest.raises(ValueError, match="a must be a positive finite real, got"):
+        RectangularForm(a)
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan,
+                               complex(2.0, math.inf)])
+def test_non_finite_s_rejected(s):
+    with pytest.raises(ValueError, match="s must be finite"):
+        epstein_continued(F1, s)
+    with pytest.raises(ValueError, match="s must be finite"):
+        epstein_direct(F1, s)
+    with pytest.raises(ValueError, match="s must be finite"):
+        phi_Q(s)
+
+
 def test_epstein_value_fields():
     v = epstein_continued(F1, 1.5)
     assert isinstance(v, EpsteinValue)
