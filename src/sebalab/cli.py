@@ -131,7 +131,7 @@ def build_parser():
 
     p = sub.add_parser("epstein", help="lattice zeta value at one point")
     p.add_argument("--a", type=float, required=True,
-                   help="aspect parameter of the form m^2/a + a n^2")
+                   help="aspect parameter of the form a^2 m^2 + n^2/a^2")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--tol", type=float, default=1.0e-10,
                    help="certified error budget for the direct route")
@@ -308,12 +308,6 @@ _HANDLERS = {"sieve": _run_sieve, "spectrum": _run_spectrum,
 # rendering and delivery
 # ---------------------------------------------------------------------------
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _sanitize(obj):
     """NaN and infinities have no JSON spelling; map them to null."""
     if isinstance(obj, float) and not math.isfinite(obj):
@@ -343,12 +337,24 @@ def render(cfg, payload):
     out.write(_CONFIG_PREFIX + config_line + "\n")
     out.write(",".join(columns) + "\n")
     for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+        out.write(",".join(map(str, row)) + "\n")
     return out.getvalue()
 
 
+def _conforms(action, value):
+    """Whether a config value is one its option's parser can produce."""
+    if value is None:
+        return action.default is None and not action.required
+    if action.choices:
+        return value in action.choices
+    if action.type is _q_grid:
+        return type(value) in (list, tuple) and len(value) > 0 and all(
+            type(v) in (int, float) for v in value)
+    return type(value) in {int: (int,), float: (int, float)}.get(action.type, (str,))
+
+
 def execute(cfg, threads=None):
-    """Validate a config, run its handler and render the report."""
+    """Validate and resolve a config, run its handler and render the report."""
     cmd = cfg.get("command")
     if cmd not in _HANDLERS:
         raise ValueError(f"unknown command in config: {cmd!r}")
@@ -358,6 +364,11 @@ def execute(cfg, threads=None):
     missing = sorted({a.dest for a in sub._actions} - {"help", "out", "threads"} - cfg.keys())
     if missing:
         raise ValueError(f"{cmd} config lacks {', '.join(missing)}")
+    bad = sorted(f"{a.dest}={cfg[a.dest]!r}" for a in sub._actions
+                 if a.dest in cfg and not _conforms(a, cfg[a.dest]))
+    if bad:
+        raise ValueError(f"{cmd} config has invalid {', '.join(bad)}")
+    cfg = resolve_config(argparse.Namespace(**cfg))
     if cmd in ("epstein", "exponents") and cfg["format"] == "csv":
         raise ValueError(f"{cmd} produces a nested report; use json")
     if cmd == "moments" and cfg["limit"] < 1:
@@ -415,10 +426,7 @@ def load_config(path):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "rerun":
-            cfg = load_config(args.config)
-        else:
-            cfg = resolve_config(args)
+        cfg = load_config(args.config) if args.command == "rerun" else vars(args)
         _check_writable(args.out)
         text = execute(cfg, threads=getattr(args, "threads", None))
         _deliver(text, args.out)

@@ -169,15 +169,17 @@ def _sum_over_lattice(form: RectangularForm, r_cut: float,
     return total, count
 
 
-def _direct_radius(sigma: float, s_abs: float, d: float, tol: float,
-                   extra_log: bool = False) -> float:
-    """Solve the certified tail bound ~ tol for the needed cutoff radius."""
-    k = 1.5 * s_abs * math.pi * d / (sigma - 0.5)
-    r = max(1.0e4, (k / tol) ** (1.0 / (sigma - 0.5)))
-    if extra_log:
-        for _ in range(3):
-            r = max(1.0e4, (k * (1.0 + math.log(r)) / tol) ** (1.0 / (sigma - 0.5)))
-    return r
+def _bound_radius(finish, tol: float, r_max: float) -> float:
+    """Smallest r >= 1e4, to 0.1%, whose bound finish(., ., r)[1] is <= tol.
+
+    The bound depends on r alone and falls with it: bisect on log r.
+    Returns 2 r_max when no radius within the budget meets tol.
+    """
+    lo, hi = 1.0e4, 1.0e4 if finish(0.0, 0.0, 1.0e4)[1] <= tol else 2.0 * r_max
+    while hi > 1.001 * lo:
+        mid = math.sqrt(lo * hi)
+        lo, hi = (lo, mid) if finish(0.0, 0.0, mid)[1] <= tol else (mid, hi)
+    return hi
 
 
 def _certified_shell_sum(form: RectangularForm, fn, finish, r_cut: float,
@@ -186,21 +188,19 @@ def _certified_shell_sum(form: RectangularForm, fn, finish, r_cut: float,
 
     finish(partial, e_boundary, r_cut) completes the partial sum in closed
     form, given e_boundary = N(r_cut) - pi r_cut from the enumeration, and
-    returns (value, certified error).  Returns the first pair whose error is
+    returns (value, certified error).  r_cut = 0 starts at the smallest
+    radius whose bound meets tol.  Returns the first pair whose error is
     <= tol; raises NonconvergenceError once r_cut passes the budget r_max.
     """
-    if r_cut > r_max:
-        raise NonconvergenceError(
-            f"tol={tol} needs shell radius ~{r_cut:.3g} > budget {r_max:.3g}")
-    while True:
+    r_cut = r_cut or _bound_radius(finish, tol, r_max)
+    while r_cut <= r_max:
         partial, npoints = _sum_over_lattice(form, r_cut, fn)
         value, err = finish(partial, npoints - math.pi * r_cut, r_cut)
         if err <= tol:
             return value, err
         r_cut *= 2.0
-        if r_cut > r_max:
-            raise NonconvergenceError(
-                f"certified bound stalled at {err:.3g} > tol={tol}")
+    raise NonconvergenceError(
+        f"certified bound cannot reach tol={tol} within shell radius {r_max:.3g}")
 
 
 def epstein_direct(form: RectangularForm, s: Number, tol: float = 1e-10,
@@ -230,8 +230,7 @@ def epstein_direct(form: RectangularForm, s: Number, tol: float = 1e-10,
         return value, tail + 1e-13
 
     value, bound = _certified_shell_sum(
-        form, lambda q: q ** (-s), finish,
-        _direct_radius(sigma, s_abs, d, tol / 2.0), tol, r_max)
+        form, lambda q: q ** (-s), finish, 0.0, tol, r_max)
     if not isinstance(s, complex):
         value = float(value.real) if isinstance(value, complex) else float(value)
     return EpsteinValue(s=s, value=value, method="direct", certified_error=bound)
@@ -246,6 +245,7 @@ def zeta_Q_derivative(form: RectangularForm, s: float, tol: float = 1e-8,
     and boundary term R^{-s} log R * E(R) are exact; the remainder is bounded
     using |g'(t)| <= (1 + s log t) t^{-s-1}.
     """
+    _check_finite(s)
     return _deriv_cached(float(form.a), float(s), float(tol), float(r_max))
 
 
@@ -267,8 +267,7 @@ def _deriv_cached(a: float, s: float, tol: float, r_max: float) -> float:
                        * (1.0 + s * (log_r + 1.0 / s))) + 1e-13
 
     value, _ = _certified_shell_sum(
-        form, lambda q: q ** (-s) * np.log(q), finish,
-        _direct_radius(s, abs(s), d, tol / 2.0, extra_log=True), tol, r_max)
+        form, lambda q: q ** (-s) * np.log(q), finish, 0.0, tol, r_max)
     return float(value)
 
 
@@ -277,9 +276,9 @@ def _deriv_cached(a: float, s: float, tol: float, r_max: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _continued_cutoff(s_abs: float, dps: int) -> float:
-    # per-term gamma bounds need pi*Qc >= 2(|s| + 2); push the certified tail
-    # beyond both the requested precision and the 1e-10 contract
-    return max(32.0, (2.0 * (s_abs + 2.0) + 4.0) / math.pi + 1.0,
+    # per-term gamma bounds need pi*Qc >= 2(|s| + 2); the dps term puts the
+    # tail e^{-pi Qc} ~1e-8 below the 10^{2-dps} rounding term
+    return max((2.0 * (s_abs + 2.0) + 4.0) / math.pi + 1.0,
                dps * math.log(10) / math.pi + 6.0)
 
 
@@ -306,8 +305,9 @@ def _continued_cached(a: float, s_key: complex, dps: int) -> Tuple[complex, floa
                     break
                 mult = 4 if (m > 0 and n > 0) else 2
                 x = pi * q
-                term = (x ** (-s) * mp.gammainc(s, a=x)
-                        + x ** (s - 1) * mp.gammainc(1 - s, a=x))
+                g = mp.gammainc(s, a=x)     # shared only where 1 - s == s exactly
+                term = (x ** (-s) * g
+                        + x ** (s - 1) * (g if 1 - s == s else mp.gammainc(1 - s, a=x)))
                 bracket += mult * term
                 n += 1
         # rgamma is entire: at s = -1, -2, ... the reciprocal vanishes and
@@ -446,6 +446,7 @@ def _zeta_star(form: RectangularForm, lam: float, s: float, tol: float,
     Returns (value, certified_error).  Passing r_cut pins the lattice set,
     which lets finite-difference callers reuse one set across lambdas.
     """
+    _check_finite(s)
     s = float(s)
     lam = float(lam)
     if s <= 1.05:
@@ -464,8 +465,7 @@ def _zeta_star(form: RectangularForm, lam: float, s: float, tol: float,
                             + (math.pi * d * d / 4.0) * shifted ** (-s) / s)) + 1e-13
 
     value, err = _certified_shell_sum(
-        form, lambda qv: (qv - lam) ** (-s), finish,
-        r_cut if r_cut > 0 else _direct_radius(s, s, d, tol / 2.0), tol, r_max)
+        form, lambda qv: (qv - lam) ** (-s), finish, r_cut, tol, r_max)
     return float(value), err
 
 

@@ -234,6 +234,37 @@ def test_rerun_of_incomplete_config_is_validation(tmp_path, cfg, missing):
     assert got.stdout == ""
 
 
+@pytest.mark.parametrize("cfg, bad", [
+    ({"command": "sieve", "x_max": "10", "format": "csv"}, "x_max='10'"),
+    ({"command": "sieve", "x_max": 10.0, "format": "csv"}, "x_max=10.0"),
+    ({"command": "sieve", "x_max": True, "format": "csv"}, "x_max=True"),
+    ({"command": "sieve", "x_max": None, "format": "xml"}, "format='xml', x_max=None"),
+    ({"command": "tail", "t": 1000.0, "g_exponent": 0.3, "q_grid": ["1"],
+      "table_max": None, "format": "csv"}, "q_grid=['1']"),
+    ({"command": "tail", "t": 1000.0, "g_exponent": 0.3, "q_grid": [],
+      "table_max": None, "format": "csv"}, "q_grid=[]"),
+])
+def test_rerun_of_ill_typed_config_is_validation(tmp_path, cfg, bad):
+    # each value must be one its option's parser can produce: the type,
+    # element-wise for the q grid, and the choices
+    saved = tmp_path / "cfg.json"
+    saved.write_text(json.dumps(cfg))
+    got = run_cli("rerun", "--config", str(saved))
+    assert got.returncode == 2
+    assert got.stderr == f"sebalab: {cfg['command']} config has invalid {bad}\n"
+    assert got.stdout == ""
+
+
+def test_rerun_resolves_a_null_table_max(tmp_path):
+    # null is the option's default, so it resolves as on the command line
+    direct, saved, again = tmp_path / "t.csv", tmp_path / "cfg.json", tmp_path / "r.csv"
+    assert main(["tail", "--t", "1000", "--q-grid", "1", "--out", str(direct)]) == 0
+    saved.write_text(json.dumps({"command": "tail", "t": 1000.0, "g_exponent": 0.3,
+                                 "q_grid": [1.0], "table_max": None, "format": "csv"}))
+    assert main(["rerun", "--config", str(saved), "--out", str(again)]) == 0
+    assert again.read_bytes() == direct.read_bytes()
+
+
 @pytest.mark.parametrize("s", ["inf", "-inf", "nan"])
 def test_epstein_rejects_non_finite_s(s, capsys):
     assert main(["epstein", "--a", "1", f"--s={s}"]) == 2

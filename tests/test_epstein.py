@@ -12,6 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from sebalab import epstein
 from sebalab.epstein import (EpsteinValue, LogDomainError, NonconvergenceError,
                              PoleError, RectangularForm, _zeta_star,
                              epstein_continued, epstein_direct,
@@ -90,6 +91,49 @@ def test_direct_precondition_and_nonconvergence():
         _zeta_star(F1, 0.0, 3.0, 1e-9, r_cut=10.0, r_max=100.0)
 
 
+def shell_passes(monkeypatch):
+    """Record each lattice pass's radius and each shell sum's finish and tol."""
+    passes, sums = [], []
+    lattice, shell = epstein._sum_over_lattice, epstein._certified_shell_sum
+
+    def counted(form, r_cut, fn):
+        passes.append(r_cut)
+        return lattice(form, r_cut, fn)
+
+    def recorded(form, fn, finish, r_cut, tol, r_max):
+        sums.append((finish, tol))
+        return shell(form, fn, finish, r_cut, tol, r_max)
+
+    monkeypatch.setattr(epstein, "_sum_over_lattice", counted)
+    monkeypatch.setattr(epstein, "_certified_shell_sum", recorded)
+    return passes, sums
+
+
+@pytest.mark.parametrize("a", [1.0, 1.3])
+@pytest.mark.parametrize("route, s, tol", [
+    ("direct", 2.0, 1e-10), ("direct", 3.0, 1e-10),
+    ("derivative", 2.0, 1e-8), ("zeta_star", 3.0, 1e-11)])
+def test_shell_radius_is_minimal(monkeypatch, a, route, s, tol):
+    # the radius is solved from the route's own bound: one lattice pass
+    # meets tol, and 1% less radius would not
+    form = RectangularForm(a)
+    passes, sums = shell_passes(monkeypatch)
+    if route == "direct":
+        err = epstein_direct(form, s, tol=tol).certified_error
+    elif route == "zeta_star":
+        err = _zeta_star(form, 0.0, s, tol)[1]
+    else:
+        epstein._deriv_cached.cache_clear()
+        zeta_Q_derivative(form, s, tol=tol)
+        err = None
+    assert len(passes) == 1 and len(sums) == 1
+    (r,), ((finish, got_tol),) = passes, sums
+    assert got_tol == tol
+    bound = finish(0.0, 0.0, r)[1]
+    assert bound <= tol and (err is None or err == bound)
+    assert finish(0.0, 0.0, 0.99 * r)[1] > tol
+
+
 # -------------------------------------------------------------- continued --
 
 @pytest.mark.parametrize("s", [2.0, 2.7, 4.0, 6.0])
@@ -143,21 +187,29 @@ def test_continued_negative_on_subcritical_interval():
 
 
 def chowla_selberg(a: float, s: float, dps: int = 40) -> float:
-    """zeta_Q(s) of a^2 m^2 + a^-2 n^2 by the Chowla-Selberg formula (a >= 1,
-    real s > 1/2, s != 1): the m = 0 row, the Poisson-summed rows as
-    zeta(2s-1), and the K-Bessel series, cut where K_{s-1/2}(2 pi N a^2) is
-    below e^-60."""
+    """zeta_Q(s) of a^2 m^2 + a^-2 n^2 by the Chowla-Selberg formula:
+
+      2 a^{2s} zeta(2s) + 2 sqrt(pi) a^{2-2s} Gamma(s-1/2) zeta(2s-1)/Gamma(s)
+        + 8 pi^s a^{2s}/Gamma(s) sum_{N>=1} K_{s-1/2}(2 pi N a^2)
+                                  sum_{k | N} (k^2/(a^2 N))^{s-1/2}
+
+    valid for real s away from 1, 1/2 and the poles of Gamma(s - 1/2), so on
+    both sides of the critical strip.  The Bessel series stops where
+    K_{s-1/2}(2 pi N a^2) is below e^-60."""
+    a = max(a, 1.0 / a)     # zeta_Q is symmetric under a -> 1/a
     with mp.workdps(dps):
         a, s = mp.mpf(a), mp.mpf(s)
         nu = s - mp.mpf(1) / 2
         val = (2 * a ** (2 * s) * mp.zeta(2 * s) + 2 * mp.sqrt(mp.pi) * a ** (2 - 2 * s)
-               * mp.gamma(nu) * mp.zeta(2 * s - 1) / mp.gamma(s))
+               * mp.gamma(nu) * mp.zeta(2 * s - 1) * mp.rgamma(s))
         bessel = mp.mpf(0)
-        for n in range(1, int(60 / (2 * math.pi * float(a) ** 2)) + 2):
+        n = 1
+        while 2 * mp.pi * n * a * a <= 60:
             divisors = sum((mp.mpf(k) ** 2 / (a * a * n)) ** nu
                            for k in range(1, n + 1) if n % k == 0)
             bessel += divisors * mp.besselk(nu, 2 * mp.pi * n * a * a)
-        return float(val + 8 * mp.pi ** s * a ** (2 * s) / mp.gamma(s) * bessel)
+            n += 1
+        return float(val + 8 * mp.pi ** s * a ** (2 * s) * mp.rgamma(s) * bessel)
 
 
 def test_continued_within_certificate_at_irrational_aspect():
@@ -168,6 +220,28 @@ def test_continued_within_certificate_at_irrational_aspect():
     v = epstein_continued(RectangularForm(a), 3.0)
     want = chowla_selberg(a, 3.0)
     assert abs(v.value - want) <= v.certified_error + 4 * 2.0 ** -53 * abs(want)
+
+
+@pytest.mark.parametrize("a", [1.0, 1.2, 1.5, 2.0])
+@pytest.mark.parametrize("s", [-0.4, 0.1, 0.3, 0.7, 0.9, 1.4])
+def test_continued_matches_chowla_selberg_in_the_strip(a, s):
+    # the continuation's bracket is symmetric under s <-> 1-s term by term,
+    # so the functional equation cannot see a wrong lattice sum; an
+    # independent route can, and it also checks the theta-sum cutoff
+    v = epstein_continued(RectangularForm(a), s)
+    want = chowla_selberg(a, s)
+    assert abs(v.value - want) <= v.certified_error + 4 * 2.0 ** -53 * abs(want)
+
+
+@pytest.mark.parametrize("a", [1.0, 1.3])
+@pytest.mark.parametrize("s", [-2.5, 0.3, 0.7, 2.0, 3.0, 6.0])
+@pytest.mark.parametrize("dps", [25, 30])
+def test_continued_tail_negligible_against_rounding(a, s, dps):
+    # the theta-sum cutoff leaves a tail far below the rounding term, so the
+    # certificate is the rounding term alone to 1e-6
+    v = epstein_continued(RectangularForm(a), s, dps=dps)
+    rounding = 10.0 ** (2 - dps) * (abs(v.value) + 1.0)
+    assert abs(v.certified_error - rounding) <= 1e-6 * rounding
 
 
 # -------------------------------------------------------------------- phi --
@@ -356,6 +430,11 @@ def test_non_finite_s_rejected(s):
         epstein_direct(F1, s)
     with pytest.raises(ValueError, match="s must be finite"):
         phi_Q(s)
+    # the shell routes reject it too, instead of running to their budget
+    with pytest.raises(ValueError, match="s must be finite"):
+        zeta_Q_derivative(F1, s)
+    with pytest.raises(ValueError, match="s must be finite"):
+        modified_moment(F1, 0.0, s)
 
 
 def test_epstein_value_fields():
