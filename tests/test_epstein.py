@@ -194,8 +194,8 @@ def chowla_selberg(a: float, s: float, dps: int = 40) -> float:
                                   sum_{k | N} (k^2/(a^2 N))^{s-1/2}
 
     valid for real s away from 1, 1/2 and the poles of Gamma(s - 1/2), so on
-    both sides of the critical strip.  The Bessel series stops where
-    K_{s-1/2}(2 pi N a^2) is below e^-60."""
+    both sides of the critical strip.  The Bessel series runs through the
+    first N with 2 pi N a^2 > 60, where K_{s-1/2} is below e^-60."""
     a = max(a, 1.0 / a)     # zeta_Q is symmetric under a -> 1/a
     with mp.workdps(dps):
         a, s = mp.mpf(a), mp.mpf(s)
@@ -203,12 +203,10 @@ def chowla_selberg(a: float, s: float, dps: int = 40) -> float:
         val = (2 * a ** (2 * s) * mp.zeta(2 * s) + 2 * mp.sqrt(mp.pi) * a ** (2 - 2 * s)
                * mp.gamma(nu) * mp.zeta(2 * s - 1) * mp.rgamma(s))
         bessel = mp.mpf(0)
-        n = 1
-        while 2 * mp.pi * n * a * a <= 60:
+        for n in range(1, int(60 / (2 * math.pi * float(a) ** 2)) + 2):
             divisors = sum((mp.mpf(k) ** 2 / (a * a * n)) ** nu
                            for k in range(1, n + 1) if n % k == 0)
             bessel += divisors * mp.besselk(nu, 2 * mp.pi * n * a * a)
-            n += 1
         return float(val + 8 * mp.pi ** s * a ** (2 * s) * mp.rgamma(s) * bessel)
 
 
