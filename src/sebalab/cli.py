@@ -373,6 +373,10 @@ def execute(cfg, threads=None):
         raise ValueError(f"{cmd} produces a nested report; use json")
     if cmd == "moments" and cfg["limit"] < 1:
         raise ValueError("limit must be >= 1")
+    if cfg.get("dps", 1) < 1:
+        raise ValueError("dps must be >= 1")
+    if not cfg.get("tol", 1.0) > 0:
+        raise ValueError(f"tol must be positive, got {cfg['tol']}")
     return render(cfg, _HANDLERS[cmd](cfg, threads))
 
 

@@ -14,7 +14,11 @@ to the coordinate swap).  Three evaluation routes live here:
                         + (pi Q)^{s-1} Gamma(1-s, pi Q(xi)) ],
 
     which converges exponentially and is valid on both sides of the critical
-    line (poles at s = 0, 1 only);
+    line (poles at s = 0, 1 only).  Each point's two gammas get the digits
+    its size needs: dps below x = pi Q(xi) = 2(|s| + 2); beyond, where the
+    point adds at most 4 mult |pi^s/Gamma(s)| e^{-x}/x, just enough that
+    the graded points together add at most 10^{-dps} (1% of the
+    certificate's 10^{2-dps} rounding term), each 1/#points of it;
   * the functional equation zeta_Q(s) = phi_Q(s) zeta_Q(1-s) with
     phi_Q(s) = pi^{2s-1} Gamma(1-s)/Gamma(s), used as a consistency check.
 
@@ -190,8 +194,11 @@ def _certified_shell_sum(form: RectangularForm, fn, finish, r_cut: float,
     form, given e_boundary = N(r_cut) - pi r_cut from the enumeration, and
     returns (value, certified error).  r_cut = 0 starts at the smallest
     radius whose bound meets tol.  Returns the first pair whose error is
-    <= tol; raises NonconvergenceError once r_cut passes the budget r_max.
+    <= tol; raises NonconvergenceError once r_cut passes the budget r_max,
+    and ValueError for a tol that is not positive.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     r_cut = r_cut or _bound_radius(finish, tol, r_max)
     while r_cut <= r_max:
         partial, npoints = _sum_over_lattice(form, r_cut, fn)
@@ -277,9 +284,18 @@ def _deriv_cached(a: float, s: float, tol: float, r_max: float) -> float:
 
 def _continued_cutoff(s_abs: float, dps: int) -> float:
     # per-term gamma bounds need pi*Qc >= 2(|s| + 2); the dps term puts the
-    # tail e^{-pi Qc} ~1e-8 below the 10^{2-dps} rounding term
+    # tail e^{-pi Qc} ~1e-8 below the 10^{2-dps} rounding term; points past
+    # 2(|s| + 2) obey that bound too and get graded digits (module docstring)
     return max((2.0 * (s_abs + 2.0) + 4.0) / math.pi + 1.0,
                dps * math.log(10) / math.pi + 6.0)
+
+
+def _graded_dps(x: float, s_abs: float, dps: int, scale: float) -> int:
+    """Digits for one theta-sum point's gammas at x = pi Q(xi), at least 5;
+    scale = log10(4 mult max(1, |pi^s/Gamma(s)|)) + guard."""
+    if x < 2.0 * (s_abs + 2.0):
+        return dps
+    return min(dps, max(5, math.ceil(dps + scale - math.log10(x) - x / math.log(10))))
 
 
 @lru_cache(maxsize=4096)
@@ -293,6 +309,7 @@ def _continued_cached(a: float, s_key: complex, dps: int) -> Tuple[complex, floa
         pi = mp.pi
         bracket = -1 / s - 1 / (1 - s)
         a2 = mp.mpf(a) ** 2    # lattice values at working precision, not float64
+        points = []            # (mult, x = pi Q) for 0 < Q <= q_cut
         m_max = int(math.sqrt(q_cut) / a) + 1
         for m in range(0, m_max + 1):
             q0 = a2 * m * m
@@ -303,16 +320,19 @@ def _continued_cached(a: float, s_key: complex, dps: int) -> Tuple[complex, floa
                 q = q0 + n * n / a2
                 if q > q_cut:
                     break
-                mult = 4 if (m > 0 and n > 0) else 2
-                x = pi * q
-                g = mp.gammainc(s, a=x)     # shared only where 1 - s == s exactly
-                term = (x ** (-s) * g
-                        + x ** (s - 1) * (g if 1 - s == s else mp.gammainc(1 - s, a=x)))
-                bracket += mult * term
+                points.append((4 if (m > 0 and n > 0) else 2, pi * q))
                 n += 1
         # rgamma is entire: at s = -1, -2, ... the reciprocal vanishes and
         # the trivial zeros of zeta_Q come out as exact zeros, no pole
         prefactor = pi ** s * mp.rgamma(s)
+        # guard log10(#points): each graded point may add 10^{-dps}/#points
+        scale = math.log10(4 * len(points)) + float(mp.log10(max(1, abs(prefactor))))
+        s1 = 1 - s
+        for mult, x in points:
+            with mp.workdps(_graded_dps(float(x), s_abs, dps, scale + math.log10(mult))):
+                g = mp.gammainc(s, a=x)     # shared only where 1 - s == s exactly
+                g1 = g if s1 == s else mp.gammainc(s1, a=x)
+            bracket += mult * (x ** (-s) * g + x ** (s - 1) * g1)
         zeta = prefactor * bracket
         # certified truncation tail: per-point bound 4 e^{-pi Q}/(pi Q) and a
         # unit-shell point-count bound pi(1 + 2 d sqrt(t+1) + d^2/2)
@@ -335,6 +355,8 @@ def epstein_continued(form: RectangularForm, s: Number, dps: int = 25) -> Epstei
     s_c = complex(s)
     if s_c == 0 or s_c == 1:
         raise PoleError(f"zeta_Q has its pole structure at s={s}; not evaluable")
+    if int(dps) < 1:
+        raise ValueError(f"dps must be a positive integer, got {dps}")
     value, err = _continued_cached(float(form.a), s_c, int(dps))
     out: Number = value
     if not isinstance(s, complex) and abs(value.imag) <= 1e-18 + 1e-12 * abs(value.real):

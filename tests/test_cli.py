@@ -114,6 +114,28 @@ def test_validation_vs_computation_exit_codes():
     assert "no sign change" in got.stderr
 
 
+@pytest.mark.parametrize("argv, msg", [
+    (["epstein", "--a", "1.2", "--s", "0.3", "--dps", "0"], "dps must be >= 1"),
+    (["epstein", "--a", "1.2", "--s", "0.3", "--dps=-3"], "dps must be >= 1"),
+    (["epstein", "--a", "1", "--s", "2", "--dps", "0"], "dps must be >= 1"),
+    (["symmetry", "--a", "1.2", "--dps", "0"], "dps must be >= 1"),
+    (["epstein", "--a", "1", "--s", "2", "--tol=-1"], "tol must be positive, got -1.0"),
+    (["epstein", "--a", "1", "--s", "2", "--tol", "0"], "tol must be positive, got 0.0"),
+    (["epstein", "--a", "1", "--s", "2", "--tol", "nan"], "tol must be positive, got nan"),
+    (["epstein", "--a", "1.2", "--s", "0.3", "--tol", "0"], "tol must be positive"),
+])
+def test_non_positive_dps_or_tol_is_validation(tmp_path, capsys, argv, msg):
+    # refused whichever route would run, also under rerun; no report written
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert msg in capsys.readouterr().err
+    saved = tmp_path / "cfg.json"
+    saved.write_text(json.dumps(resolve_config(build_parser().parse_args(argv))))
+    assert main(["rerun", "--config", str(saved), "--out", str(out)]) == 2
+    assert msg in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_output_rejected(tmp_path):
     missing = tmp_path / "nodir" / "x.csv"
     assert main(["sieve", "--x-max", "50", "--out", str(missing)]) == 2

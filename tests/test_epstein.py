@@ -242,6 +242,50 @@ def test_continued_tail_negligible_against_rounding(a, s, dps):
     assert abs(v.certified_error - rounding) <= 1e-6 * rounding
 
 
+@pytest.mark.parametrize("dps", [10, 12, 15])
+@pytest.mark.parametrize("a", [0.4, 1.0, 1.3, 2.5])
+@pytest.mark.parametrize("s", [-6.5, -0.4, 0.3, 0.5, 1.5, 2.0, 7.5, 0.5 + 3j])
+def test_graded_precision_accurate_at_low_dps(dps, a, s):
+    # at low dps float64 resolves the rounding of a point whose digits were
+    # misjudged: the graded sum must stay within a 25th of the certificate's
+    # rounding term of a dps-40 value (a rule with 4 fewer guard digits, or
+    # one giving every graded point dps - 6, breaks this bound)
+    form = RectangularForm(a)
+    v = epstein_continued(form, s, dps=dps).value
+    ref = epstein_continued(form, s, dps=40).value
+    assert abs(v - ref) <= 4 * 10.0 ** -dps * (abs(ref) + 1)
+
+
+def test_graded_dps_full_below_the_point_bound_and_never_above_dps():
+    for dps in (3, 10, 25, 40):
+        for s_abs in (0.0, 0.3, 2.0, 7.5, 16.0):
+            for scale in (-3.0, 0.0, 2.5, 12.0):
+                for x in np.linspace(0.05, 120.0, 400):
+                    w = epstein._graded_dps(float(x), s_abs, dps, scale)
+                    assert w <= dps
+                    if x < 2.0 * (s_abs + 2.0):
+                        assert w == dps
+    # and far out the grading does cut digits
+    assert epstein._graded_dps(70.0, 0.3, 25, 2.0) < 25
+
+
+@pytest.mark.parametrize("dps", [0, -3])
+def test_non_positive_dps_rejected(dps):
+    with pytest.raises(ValueError, match="dps must be a positive integer"):
+        epstein_continued(F12, 0.3, dps=dps)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_non_positive_tol_rejected(tol):
+    # an input error, not a computation that failed to converge
+    with pytest.raises(ValueError, match="tol must be positive"):
+        epstein_direct(F1, 2.0, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        zeta_Q_derivative(F1, 2.0, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        _zeta_star(F1, 0.0, 2.0, tol)
+
+
 # -------------------------------------------------------------------- phi --
 
 def test_phi_basics():
