@@ -291,8 +291,8 @@ def _continued_cutoff(s_abs: float, dps: int) -> float:
 
 
 def _graded_dps(x: float, s_abs: float, dps: int, scale: float) -> int:
-    """Digits for one theta-sum point's gammas at x = pi Q(xi), at least 5;
-    scale = log10(4 mult max(1, |pi^s/Gamma(s)|)) + guard."""
+    """Digits for one theta-sum point's gammas at x = pi Q(xi): dps, or fewer
+    but >= 5; scale = log10(4 mult max(1, |pi^s/Gamma(s)|)) + guard."""
     if x < 2.0 * (s_abs + 2.0):
         return dps
     return min(dps, max(5, math.ceil(dps + scale - math.log10(x) - x / math.log(10))))
