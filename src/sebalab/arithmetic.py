@@ -32,6 +32,8 @@ from typing import Dict, List
 
 import numpy as np
 
+from .lattice import BlockMoments
+
 _HALF_LOG2 = 0.34657359027997264  # (1/2) log 2, the normal-order exponent of log r2
 
 # Peak memory of build_table, from tracemalloc: int32 small and b1 (r2) and
@@ -42,10 +44,6 @@ _COFACTOR_CHUNK = 1 << 16
 _BYTES_PER_N = 11
 _INT32_MAX = 2 ** 31 - 1
 DEFAULT_MEMORY_BUDGET = 2 * 1024 ** 3
-
-_BLOCK_WIDTH = 4096    # integers per block of the moment tables
-_BLOCK_ORDER = 32      # moments kept per block: orders 0 .. 31
-_BLOCK_CHUNK = 64      # blocks per product: 12 MB of temporaries at 11M
 
 
 class CapacityError(Exception):
@@ -79,54 +77,10 @@ class ArithmeticTable:
             raise RangeError(f"x={x} outside sieved range [0, {self.x_max}]")
 
     @cached_property
-    def moments(self) -> "BlockMoments":
-        """Block moments of N, built on first use and kept with the table."""
-        return _block_moments(self)
-
-
-@dataclass(frozen=True)
-class BlockMoments:
-    """Moments of N over the flat blocks [j h, (j + 1) h) of [0, x_max]:
-
-        M_k(j) = sum_{n in N, j h <= n < (j + 1) h} w(n) ((n - c_j) / h)^k,
-        c_j = j h + (h - 1) / 2,
-
-    for k < _BLOCK_ORDER, with w = r2 in ``r2`` and w = 1 in ``unit`` (both
-    of shape (order, blocks)).  N in block j is
-    representable[start[j]:start[j + 1]].  The arrays are read-only.
-    """
-
-    width: int
-    start: np.ndarray     # int64, blocks + 1 entries
-    r2: np.ndarray
-    unit: np.ndarray
-
-    def centre(self, j):
-        return j * self.width + (self.width - 1) / 2.0
-
-
-def _block_moments(table: ArithmeticTable) -> BlockMoments:
-    """Both moment tables, one product with the block Vandermonde matrix
-    per chunk of blocks."""
-    h, rep = _BLOCK_WIDTH, table.representable
-    blocks = table.x_max // h + 1
-    u = (np.arange(h) - (h - 1) / 2.0) / h
-    vander = u[:, None] ** np.arange(_BLOCK_ORDER)
-    start = np.searchsorted(rep, np.arange(blocks + 1, dtype=np.int64) * h)
-    r2 = np.empty((_BLOCK_ORDER, blocks))
-    unit = np.empty((_BLOCK_ORDER, blocks))
-    for j0 in range(0, blocks, _BLOCK_CHUNK):
-        j1 = min(j0 + _BLOCK_CHUNK, blocks)
-        n = rep[start[j0]:start[j1]]
-        dense = np.zeros((2, (j1 - j0) * h))
-        dense[0, n - j0 * h] = table.r2[n]
-        dense[1, n - j0 * h] = 1.0
-        m = dense.reshape(2 * (j1 - j0), h) @ vander
-        r2[:, j0:j1] = m[:j1 - j0].T
-        unit[:, j0:j1] = m[j1 - j0:].T
-    for a in (start, r2, unit):
-        a.setflags(write=False)
-    return BlockMoments(h, start, r2, unit)
+    def moments(self) -> BlockMoments:
+        """Block moments of N, kept with the table; BlockMoments.upto builds
+        the blocks a query reaches."""
+        return BlockMoments(self.representable, self.r2, self.x_max)
 
 
 def _sieve_bytes(x_max: int) -> int:

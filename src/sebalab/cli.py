@@ -368,6 +368,8 @@ def execute(cfg, threads=None):
                  if a.dest in cfg and not _conforms(a, cfg[a.dest]))
     if bad:
         raise ValueError(f"{cmd} config has invalid {', '.join(bad)}")
+    if "mode" in cfg:    # the coupling's own checks, before the cutoff sizes a table
+        _coupling_from(cfg)
     cfg = resolve_config(argparse.Namespace(**cfg))
     if cmd in ("epstein", "exponents") and cfg["format"] == "csv":
         raise ValueError(f"{cmd} produces a nested report; use json")

@@ -29,26 +29,8 @@ are deterministic and the block structure can be reported alongside.
 
 Every lattice sum here (zeta_lam(s) with or without a cutoff X, the Shannon
 sum, the annulus tails tau_q(t, G) and the unweighted sums of the density
-predicates) goes through one block-moment engine, the one-level form of the
-1D fast multipole method (Greengard & Rokhlin, J. Comput. Phys. 73, 1987;
-Dutt, Gu & Rokhlin, SIAM J. Numer. Anal. 33, 1996).  The table keeps the
-moments M_k(B) = sum_{n in B} w(n) ((n - c_B)/h)^k, k < 32, of w = r2 and
-w = 1 over flat blocks B of h = 4096 integers, built once on first use
-(ArithmeticTable.moments).  A query sums directly lambda's own block, two
-blocks on each side, the block holding the cutoff X and the blocks that
-meet the excluded annulus |n - lambda| < G.  Every other block enters
-through the binomial series, with D = c_B - lambda,
-
-    |n - lam|^{-s} = |D|^{-s} sum_k a_k (-h/D)^k ((n - c_B)/h)^k,
-    a_k = (s)_k / k!,
-
-and the log-weighted Shannon sum through the coefficients
-a_k log|D| - sum_{1<=j<=k} a_{k-j}/j.  Each block keeps the terms its ratio
-(h/2)/|D| needs for a truncation error of at most 2^-56 of its exact value,
-by a bound computed at run time (_reach); blocks the 32 moments cannot
-reach that closely are summed directly.  A query thus costs O(h) direct
-terms plus O(blocks x order) series terms, not O(|N|), and its far field
-carries a computed truncation bound (_lattice_sums returns it).
+predicates) is one query of the block-moment engine in ``lattice``, whose
+far field carries a truncation bound computed at run time.
 """
 
 from __future__ import annotations
@@ -56,12 +38,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .arithmetic import _HALF_LOG2, ArithmeticTable, _normal_order
+from .lattice import _lattice_sums
 from .spectrum import EmptyWindowError, SebaSpectrum, _check_pole
 
 _TWO_PI = 2.0 * math.pi
@@ -253,174 +235,6 @@ def essential_support_G(mean_delta: float, q: float) -> float:
     return (_TWO_PI / (2.0 * q - 1.0) * mean_delta ** (2.0 * q)) \
         ** (1.0 / (2.0 * q - 1.0))
 
-
-# --------------------------------------------------------------------------
-# block-moment engine
-
-_TRUNCATION = 2.0 ** -56   # series error allowed per expanded block, relative
-_NEAR_BLOCKS = 2           # blocks each side of lambda's own, summed directly
-_FAR_CELLS = 1 << 16       # lambda rows x blocks per far-field pass
-
-
-def _coefficients(s, order):
-    """a_k = (s)_k/k! and c_k = da_k/ds = a_k psi_k for k < order: the
-    series of (1 + y)^{-s} and of -(1 + y)^{-s} log(1 + y) in powers of -y."""
-    k = np.arange(order - 1, dtype=np.float64)
-    a = np.concatenate(([1.0], np.cumprod((s + k) / (k + 1.0))))
-    return a, a * np.concatenate(([0.0], np.cumsum(1.0 / (s + k))))
-
-
-@lru_cache(maxsize=64)
-def _reach(s, log, width, order):
-    """reach[k] for k <= order: a block centred closer than reach[k] to
-    lambda needs its term of order k; one closer than reach[order] is summed
-    directly.
-
-    Write r = ((width - 1)/2) / |lam - c| for a block of centre c.  Its
-    series cut after K terms is within rel(K, r) of the block's exact value,
-
-        rel = gamma_K r^K (1 + r)^s / ((1 - rho_K r) low(r)),
-
-    where gamma_k bounds the k-th coefficient, rho_K >= gamma_{k+1}/gamma_k
-    for every k >= K, and low(r) <= (1 + r)^s times a point's exact term
-    over |lam - c|^{-s}.  For the power kernel gamma_k = a_k = (s)_k/k!,
-    rho_K = (s + K)/(K + 1) and low = 1; for the log kernel
-    gamma_k = a_k (L + psi_k) with psi_k = sum_{i<k} 1/(s + i),
-    L = log(width) <= log|lam - c|, one more 1/((K + 1)(L + psi_K)) in rho_K
-    and low = L + log(1 - r).  reach[K] is the radius where rel(K, r) meets
-    _TRUNCATION, found by bisection on r below 1/(2 _NEAR_BLOCKS + 1), the
-    largest ratio of a block outside lambda's direct ones.
-    """
-    k = np.arange(order + 1, dtype=np.float64)
-    gamma, c = _coefficients(s, order + 1)
-    rho = np.maximum((s + k) / (k + 1.0), 1.0)
-    lead = math.log(width)
-    if log:
-        rho = rho + gamma / ((k + 1.0) * (lead * gamma + c))
-        gamma = lead * gamma + c
-
-    def rel(r):
-        low = lead + np.log1p(-r) if log else 1.0
-        return gamma * r ** k * (1.0 + r) ** s / ((1.0 - rho * r) * low)
-
-    lo = np.zeros(order + 1)
-    hi = np.minimum(1.0 / rho, 1.0 / (2 * _NEAR_BLOCKS + 1))
-    with np.errstate(over="ignore", divide="ignore"):
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            ok = rel(mid) <= _TRUNCATION
-            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-        reach = 0.5 * (width - 1) / lo
-    reach.setflags(write=False)
-    return reach
-
-
-def _far_field(mom, lams, lo, hi, end, kernels, reaches, unit):
-    """Sum over the blocks j < end outside [lo, hi] of each row's series."""
-    h = mom.width
-    m = mom.unit if unit else mom.r2
-    order = m.shape[0]
-    cols = np.arange(end)
-    d = mom.centre(cols)[None, :] - lams[:, None]
-    far = (cols < lo[:, None]) | (cols > hi[:, None])
-    d = np.where(far, d, np.inf)
-    absd = np.abs(d)
-    x = -h / d                       # -0.0 off the far field
-    logd = None
-    if any(log for _, log in kernels):
-        logd = np.log(absd, out=np.zeros_like(absd), where=far)
-    nearest = float(absd.min()) if absd.size else math.inf
-    c0 = 0.5 * (h - 1)
-    out = np.zeros((len(lams), len(kernels)))
-    for i, ((s, log), reach) in enumerate(zip(kernels, reaches)):
-        stop = int(np.count_nonzero(reach[:order] > nearest))
-        # term k runs over the hull of every row's columns nearer than reach[k]
-        first = np.clip(np.floor((lams[0] - reach - c0) / h), 0, end)
-        last = np.clip(np.ceil((lams[-1] + reach - c0) / h) + 1, 0, end)
-        a_k, c_k = _coefficients(s, order)
-        pw = absd ** -s
-        acc = np.zeros_like(pw)
-        accl = np.zeros_like(pw) if log else None
-        tmp = np.empty_like(pw)
-        for k in range(stop):
-            j0, j1 = int(first[k]), int(last[k])
-            p, t = pw[:, j0:j1], tmp[:, j0:j1]
-            acc[:, j0:j1] += np.multiply(p, a_k[k] * m[k, j0:j1], out=t)
-            if log:
-                accl[:, j0:j1] += np.multiply(p, c_k[k] * m[k, j0:j1], out=t)
-            p *= x[:, j0:j1]
-        out[:, i] = (logd * acc - accl if log else acc).sum(axis=1)
-    return out
-
-
-def _lattice_sums(table, lams, kernels, x=None, gaps=(0.0,), unit=False):
-    """Sums over n in N, n <= x, |n - lam| >= g of w(n) |n - lam|^{-s},
-    times log|n - lam| for a log kernel, with w = r2 (w = 1 when ``unit``).
-
-    ``kernels`` lists (s, log) pairs, ``gaps`` the excluded radii g (0 for
-    none); x defaults to the table bound.  Returns the sums, shape
-    (lams, kernels, gaps), and the truncation bound of their far fields,
-    shape (lams, kernels), which every gap shares.
-    """
-    mom = table.moments
-    h = mom.width
-    order, blocks = mom.r2.shape
-    rep = table.representable
-    lams = np.asarray(lams, dtype=np.float64)
-    x = float(table.x_max if x is None else x)
-    reaches = [_reach(float(s), bool(log), h, order) for s, log in kernels]
-    near = max(r[order] for r in reaches)
-    g_lo, g_hi = min(gaps), max(gaps)
-    c0 = 0.5 * (h - 1)
-    # direct blocks: lambda's own and _NEAR_BLOCKS on each side, those a
-    # series of `order` terms cannot reach, and those within 1 of the
-    # excluded annulus
-    own = np.floor(lams / h)
-    lo = np.minimum.reduce([own - _NEAR_BLOCKS,
-                            np.floor((lams - near - c0) / h),
-                            np.floor((lams - g_hi - 1.0) / h)])
-    hi = np.maximum.reduce([own + _NEAR_BLOCKS,
-                            np.ceil((lams + near - c0) / h),
-                            np.floor((lams + g_hi + 1.0) / h)])
-    lo = np.clip(lo, 0, blocks - 1).astype(np.int64)
-    hi = np.clip(hi, 0, blocks - 1).astype(np.int64)
-    end = min(blocks, (math.floor(x) + 1) // h)   # blocks wholly <= x
-    i_x = int(np.searchsorted(rep, math.floor(x), side="right"))
-
-    values = np.empty((len(lams), len(kernels), len(gaps)))
-    far = np.empty((len(lams), len(kernels)))
-    sort = np.argsort(lams, kind="stable")
-    rows = max(1, _FAR_CELLS // max(end, 1))
-    for r0 in range(0, len(lams), rows):
-        idx = sort[r0:r0 + rows]
-        far[idx] = _far_field(mom, lams[idx], lo[idx], hi[idx], end,
-                              kernels, reaches, unit)
-    start = mom.start
-    for i, lam in enumerate(lams):
-        a = int(start[lo[i]])
-        e = min(int(start[hi[i] + 1]), i_x)
-        s0 = s1 = e
-        if g_lo >= 2.0:      # integers this near lam are excluded for sure
-            s0 = max(a, min(e, int(np.searchsorted(
-                rep, math.floor(lam - g_lo) + 2))))
-            s1 = max(s0, min(e, int(np.searchsorted(
-                rep, math.ceil(lam + g_lo) - 2, side="right"))))
-        cut = max(int(start[end]), int(start[hi[i] + 1]))
-        n = np.concatenate((rep[a:s0], rep[s1:e], rep[cut:i_x]))
-        d = np.abs(n.astype(np.float64) - lam)
-        if g_lo > 0.0:
-            n, d = n[d >= g_lo], d[d >= g_lo]
-        w = 1.0 if unit else table.r2[n]
-        keep = [None if g == g_lo else d >= g for g in gaps]
-        for k, (s, log) in enumerate(kernels):
-            t = w * d ** -s
-            if log:
-                t *= np.log(d)
-            for j, mask in enumerate(keep):
-                values[i, k, j] = np.sum(t if mask is None else t[mask]) \
-                    + far[i, k]
-    bound = _TRUNCATION / (1.0 - _TRUNCATION) * np.abs(far)
-    return values, bound
 
 # --------------------------------------------------------------------------
 # closed-form theory values

@@ -37,16 +37,16 @@ Weak chunks use a two-level kernel in the manner of the 1D fast multipole
 method (Greengard & Rokhlin, J. Comput. Phys. 73, 1987).  Lattice points
 outside a window of half-width W = max(4 * half-span, 64) around the chunk
 centre c enter through the local expansion sum_k S_k (lam - c)^k with
-S_k = sum w (n-c)^{-(k+1)}.  Each sub-block of 32 lanes sums directly only
-the points within its own such window, clamped to the chunk's, and takes
-the rest of the chunk's window from a second local expansion about its own
-centre.  An evaluation costs O(sub-block window + K), not O(|N|).  Every
-expanded point lies at least 4 * max|lam - centre| from its centre and
-enters order k only while (half-span/|n - centre|)^k > 4^-K, so its series
-is cut off with an error below (4/3) 4^-K w/|n - centre|: with K = 26, at
-most 3e-16 of the point's own term.  The first orders see the whole prefix
-of N, later ones a shrinking range on each side.  The constant
-sum w n/(n^2+1) comes from pairwise block sums taken once per solve.
+S_k = sum w (n-c)^{-(k+1)}, translated from the table's block moments
+(lattice._local_sums), and the constant sum w n/(n^2+1) is Re S_0 about
+the centre i.  Each sub-block of 32 lanes sums directly only the points
+within its own such window, clamped to the chunk's, and takes the rest of
+the chunk's window from a second local expansion about its own centre,
+whose orders are graded by distance.  An evaluation costs
+O(sub-block window + K), not O(|N|).  Every expanded point lies at least
+4 * max|lam - centre| from its centre, so cutting its series after K = 26
+orders errs by at most (4/3) 4^-K, 3e-16, of its own term; the kernel
+returns that bound, with the engine's, as g.bound.
 Strong chunks evaluate each lane's window, zero-padded to the chunk's
 widest, as one matrix.
 """
@@ -61,14 +61,10 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .arithmetic import ArithmeticTable
+from .lattice import _local_sums
 
-# Weak kernels expand lattice points about the chunk centre (outside the
-# chunk's window) and about sub-block centres (the rest of that window).  A
-# point enters order k only while (half-span/|n - centre|)^k > 4^-K, so its
-# series is cut off with an error below (4/3) 4^-K w/|n - centre|.
 _FAR_ORDER = 26            # K, the order of both local expansions
 _SUB_BLOCK = 32            # lanes per sub-block of a weak chunk
-_CONST_BLOCK = 4096        # points per pairwise block sum of the weak constant
 _MAX_STEPS = 200           # lockstep step budget per lane
 
 
@@ -104,10 +100,10 @@ class CutoffPolicy:
     min_span: float = 1.0e4
 
     def __post_init__(self):
-        if self.multiplier < 10.0:
-            raise ValueError("cutoff multiplier must be >= 10")
-        if self.min_span <= 0:
-            raise ValueError("min_span must be positive")
+        if not 10.0 <= self.multiplier < math.inf:
+            raise ValueError(f"cutoff multiplier must be finite and >= 10, got {self.multiplier}")
+        if not 0.0 < self.min_span < math.inf:
+            raise ValueError(f"min_span must be positive and finite, got {self.min_span}")
 
     def bound(self, lam: float) -> float:
         return max(self.multiplier * max(lam, 1.0), lam + self.min_span)
@@ -125,8 +121,10 @@ class CouplingConfig:
     def __post_init__(self):
         if self.mode not in ("weak", "strong"):
             raise ValueError(f"mode must be 'weak' or 'strong', got {self.mode!r}")
-        if not self.root_tol > 0:
-            raise ValueError("root_tol must be positive")
+        if not 0.0 < self.root_tol < math.inf:
+            raise ValueError(f"root_tol must be positive and finite, got {self.root_tol}")
+        if not (math.isfinite(self.theta) and math.isfinite(self.beta_c)):
+            raise ValueError(f"theta and beta_c must be finite, got {self.theta}, {self.beta_c}")
         if not 0.0 <= self.beta_b < 1.0:
             raise ValueError("beta_b must lie in [0, 1)")
 
@@ -381,38 +379,38 @@ def _weak_kernel(table: ArithmeticTable, prefix: Tuple[np.ndarray, ...],
                  j_lo: int, j_hi: int, config: CouplingConfig):
     """Two-level far-field kernel at one frozen cutoff.
 
-    The chunk expands the points outside its window about its centre; each
-    sub-block of _SUB_BLOCK lanes sums its own window directly and expands
-    the rest of the chunk's window about its own centre.
+    The chunk takes the points outside its window, and the constant, from
+    local expansions of the table's block moments; each sub-block of
+    _SUB_BLOCK lanes sums its own window directly and expands the rest of
+    the chunk's window about its own centre.  g.bound bounds |g - exact| at
+    every lane from the expansions' truncation and the engine's errors,
+    the rounding in g itself aside.
     """
-    rep_f, w_f, sums = prefix
-    lam_top = rep_f[j_hi + 1]
+    base, rep_f, w_f = prefix
+    lam_top = rep_f[j_hi + 1 - base]
     x = config.cutoff.bound(lam_top)
     if x > table.x_max:
         raise TruncationError(
             f"cutoff {x:.6g} for intervals up to n={lam_top:.0f} exceeds x_max")
-    cut = int(np.searchsorted(rep_f, x, side="right"))
-    nvals, w = rep_f[:cut], w_f[:cut]
 
     def window(left, right):
         # centre, half-span and direct-sum reach of lanes spanning [left, right]
         half = 0.5 * (right - left)
         return 0.5 * (left + right), half, np.maximum(4.0 * half, 64.0)
 
-    c, half, reach = window(rep_f[j_lo], rep_f[j_hi + 1])
-    i0 = int(np.searchsorted(nvals, c - reach, side="left"))
-    i1 = int(np.searchsorted(nvals, c + reach, side="right"))
-    far = _local_moments(nvals, w, np.array([c]), np.array([half]), [(i0, i1)])[:, 0]
-    q = cut // _CONST_BLOCK
-    const = -float(sums[:q].sum() + _const_terms(nvals[q * _CONST_BLOCK:],
-                                                  w[q * _CONST_BLOCK:]).sum())
+    c, half, reach = window(rep_f[j_lo - base], lam_top)
+    i0 = int(np.searchsorted(rep_f, c - reach, side="left"))
+    i1 = int(np.searchsorted(rep_f, min(c + reach, x), side="right"))
+    far, far_err, size = _local_sums(table, c, _FAR_ORDER, x, (base + i0, base + i1))
+    const, const_err, _ = _local_sums(table, 1j, 1, x)
+    const = -float(const[0].real)
 
     # sub-blocks: direct sums over their own windows, clamped to the chunk's,
     # zero-padded to the widest; the rest of the chunk's window is a ring
     starts = np.arange(j_lo, j_hi + 1, _SUB_BLOCK)
     stops = np.minimum(starts + _SUB_BLOCK, j_hi + 1)
-    c_sub, half_sub, reach_sub = window(rep_f[starts], rep_f[stops])
-    win_n, win_w = nvals[i0:i1], w[i0:i1]
+    c_sub, half_sub, reach_sub = window(rep_f[starts - base], rep_f[stops - base])
+    win_n, win_w = rep_f[i0:i1], w_f[i0:i1]
     a = np.searchsorted(win_n, c_sub - reach_sub, side="left")
     b = np.searchsorted(win_n, c_sub + reach_sub, side="right")
     ring = _local_moments(win_n, win_w, c_sub, half_sub, list(zip(a, b)))
@@ -427,6 +425,11 @@ def _weak_kernel(table: ArithmeticTable, prefix: Tuple[np.ndarray, ...],
             inner = inner * xb + coef[k]
         near = (near_w[sub] / (near_n[sub] - lams[:, None])).sum(axis=1)
         return near + inner + outer + const + _tail_term(lams, x) - config.theta
+    # an expanded point at distance d > reach from its centre errs by at
+    # most (4/3) (half/d)^K of its term, a ring point by (4/3) 4^-K of it
+    g.bound = float(far_err @ half ** np.arange(_FAR_ORDER) + const_err[0]
+                    + 4.0 / 3.0 * ((half / reach) ** _FAR_ORDER * size[0]
+                                   + 4.0 ** -_FAR_ORDER * win_w.sum() / reach_sub.min()))
     return g
 
 
@@ -439,7 +442,7 @@ def _window_keys(n_j: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _strong_kernel(table: ArithmeticTable, prefix: Tuple[np.ndarray, ...],
                    j_lo: int, j_hi: int, config: CouplingConfig):
     """Each lane's window |n - n_j| <= sqrt(n_j), zero-padded to the widest."""
-    rep_f, w_f, _ = prefix
+    base, rep_f, w_f = prefix
     rep = table.representable
     n_j = rep[j_lo:j_hi + 1]
     if n_j[-1] + math.sqrt(n_j[-1]) > table.x_max:
@@ -447,8 +450,8 @@ def _strong_kernel(table: ArithmeticTable, prefix: Tuple[np.ndarray, ...],
             f"window of n_j={int(n_j[-1])} exceeds x_max={table.x_max}")
     key_lo, key_hi = _window_keys(n_j)
     # integer keys: a float key would make numpy cast all of rep per call
-    a = np.searchsorted(rep, key_lo, side="left")
-    b = np.searchsorted(rep, key_hi, side="right")
+    a = np.searchsorted(rep, key_lo, side="left") - base
+    b = np.searchsorted(rep, key_hi, side="right") - base
     near_n, near_w = _padded(rep_f, w_f, a, b)
 
     def g(lams: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -457,30 +460,19 @@ def _strong_kernel(table: ArithmeticTable, prefix: Tuple[np.ndarray, ...],
     return g
 
 
-def _const_terms(n: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return w * (n / (n * n + 1.0))
-
-
-def _prefix(table: ArithmeticTable, j_hi: int,
-            config: CouplingConfig) -> Tuple[np.ndarray, ...]:
-    """(n, r2(n)) as floats for the n in N that intervals up to j_hi read.
-
-    Weak mode adds the pairwise sums of r2(n) n/(n^2+1) over consecutive
-    blocks of _CONST_BLOCK points (None in strong mode), so each chunk's
-    constant costs O(|N|/_CONST_BLOCK + _CONST_BLOCK).
-    """
+def _prefix(table: ArithmeticTable, chunks: Sequence[Tuple[int, int]],
+            config: CouplingConfig) -> Tuple[int, np.ndarray, np.ndarray]:
+    """(base, n, w): the elements of N from index base on that the kernels of
+    the chunks (j_lo, j_hi) read, as floats with their r2."""
     rep = table.representable
-    if config.mode == "weak":
-        x = config.cutoff.bound(float(rep[j_hi + 1]))
-    else:
-        x = max(float(rep[j_hi + 1]), rep[j_hi] + math.sqrt(rep[j_hi]))
-    k = int(np.searchsorted(rep, math.floor(min(x, table.x_max)), side="right"))
-    n, w = rep[:k].astype(np.float64), table.r2[rep[:k]].astype(np.float64)
-    sums = None
-    if config.mode == "weak":
-        full = k - k % _CONST_BLOCK
-        sums = _const_terms(n[:full], w[:full]).reshape(-1, _CONST_BLOCK).sum(axis=1)
-    return n, w, sums
+    lo, hi = chunks[0][0], chunks[-1][1]
+    if config.mode == "weak":    # each chunk's window c +- max(4 half, 64)
+        pad = max(64.0, max(2.0 * float(rep[b + 1] - rep[a]) for a, b in chunks))
+    else:                        # each lane's window n_j +- sqrt(n_j)
+        pad = math.sqrt(rep[hi])
+    base = int(np.searchsorted(rep, math.ceil(rep[lo] - pad), side="left"))
+    n = rep[base:int(np.searchsorted(rep, math.floor(rep[hi + 1] + pad), side="right"))]
+    return base, n.astype(np.float64), table.r2[n].astype(np.float64)
 
 
 def _solve_chunk(table: ArithmeticTable, prefix: Tuple[np.ndarray, ...],
@@ -488,11 +480,9 @@ def _solve_chunk(table: ArithmeticTable, prefix: Tuple[np.ndarray, ...],
     """Roots of intervals j_lo..j_hi (inclusive), solved in lockstep."""
     kernel = _weak_kernel if config.mode == "weak" else _strong_kernel
     g = kernel(table, prefix, j_lo, j_hi, config)
-    rep_f, w_f, _ = prefix
-    left = rep_f[j_lo:j_hi + 1]
-    right = rep_f[j_lo + 1:j_hi + 2]
-    w_left = w_f[j_lo:j_hi + 1]
-    w_right = w_f[j_lo + 1:j_hi + 2]
+    base, rep_f, w_f = prefix
+    n, w = rep_f[j_lo - base:j_hi + 2 - base], w_f[j_lo - base:j_hi + 2 - base]
+    left, right, w_left, w_right = n[:-1], n[1:], w[:-1], w[1:]
     if config.mode == "strong":
         # a strong window may stop short of n_{j+1}; g then has no pole there
         w_right = np.where(right <= _window_keys(left)[1], w_right, 0.0)
@@ -513,7 +503,7 @@ def solve_interval(j: int, table: ArithmeticTable, config: CouplingConfig) -> fl
     rep = table.representable
     if not 0 <= j < len(rep) - 1:
         raise IndexError(f"interval index {j} out of range")
-    return float(_solve_chunk(table, _prefix(table, j, config), j, j, config)[0])
+    return float(_solve_chunk(table, _prefix(table, [(j, j)], config), j, j, config)[0])
 
 
 def solve_ground(table: ArithmeticTable, config: CouplingConfig) -> float:
@@ -576,9 +566,11 @@ def solve_range(x_min: int, x_max_solve: int, table: ArithmeticTable,
     if i_hi - i_lo < 1:
         raise EmptyWindowError(f"fewer than two elements of N in [{x_min}, {x_max_solve}]")
     js = np.arange(i_lo, i_hi, dtype=np.int64)
-    prefix = _prefix(table, i_hi - 1, config)
     blocks: List[Tuple[int, int]] = [
         (int(a), int(min(a + chunk - 1, i_hi - 1))) for a in range(i_lo, i_hi, chunk)]
+    prefix = _prefix(table, blocks, config)
+    if config.mode == "weak":    # the moments every chunk reads, before threads
+        table.moments.upto(config.cutoff.bound(float(rep[i_hi])))
 
     def run(block: Tuple[int, int]) -> np.ndarray:
         return _solve_chunk(table, prefix, block[0], block[1], config)

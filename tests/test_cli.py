@@ -136,6 +136,30 @@ def test_non_positive_dps_or_tol_is_validation(tmp_path, capsys, argv, msg):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, msg", [
+    (["--multiplier", "inf"], "cutoff multiplier must be finite and >= 10, got inf"),
+    (["--min-span", "inf"], "min_span must be positive and finite, got inf"),
+    (["--min-span", "nan"], "min_span must be positive and finite, got nan"),
+    (["--root-tol", "inf"], "root_tol must be positive and finite, got inf"),
+    (["--theta", "nan"], "theta and beta_c must be finite, got nan, 1.0"),
+    (["--beta-c", "nan", "--mode", "strong"], "theta and beta_c must be finite, got 0.0, nan"),
+])
+def test_non_finite_spectrum_config_is_validation(tmp_path, capsys, flags, msg):
+    # refused before a table is sized or sieved, also under rerun, where a
+    # config file can spell NaN and Infinity; no report written
+    argv = ["spectrum", "--x-min", "2500", "--x-max", "2700"] + flags
+    out = tmp_path / "r.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert msg in capsys.readouterr().err
+    cfg = {k: v for k, v in vars(build_parser().parse_args(argv)).items()
+           if k not in ("out", "threads")}
+    saved = tmp_path / "cfg.json"
+    saved.write_text(json.dumps(cfg))
+    assert main(["rerun", "--config", str(saved), "--out", str(out)]) == 2
+    assert msg in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_output_rejected(tmp_path):
     missing = tmp_path / "nodir" / "x.csv"
     assert main(["sieve", "--x-max", "50", "--out", str(missing)]) == 2

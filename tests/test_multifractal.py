@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sebalab.arithmetic import ArithmeticTable, build_table
 from sebalab.spectrum import (CouplingConfig, EmptyWindowError,
                               SecularPoleError, solve_range)
+from sebalab import lattice
 from sebalab import multifractal as mf
 
 LOG2 = math.log(2.0)
@@ -530,7 +531,7 @@ def test_engine_matches_exact_sum_at_scale(big, s):
 def test_far_field_matches_exact_sum_over_expanded_blocks(big, s):
     # the series part alone, where a short expansion would show: every
     # block but lambda's own and two on each side enters through it
-    mom, rep = big.moments, big.representable
+    mom, rep = big.moments.upto(big.x_max), big.representable
     h, order, blocks = mom.width, mom.r2.shape[0], mom.r2.shape[1]
     for lam in (100_000.37, 555_555.25, 999_999.5, big.x_max - 6000.25):
         own = int(lam // h)
@@ -538,14 +539,14 @@ def test_far_field_matches_exact_sum_over_expanded_blocks(big, s):
         n = np.concatenate((rep[:mom.start[lo]], rep[mom.start[hi + 1]:]))
         d = np.abs(n.astype(np.float64) - lam)
         for log in (False, True) if s == 2.0 else (False,):
-            reach = mf._reach(s, log, h, order)
+            reach = lattice._reach(s, log, h, order)
             assert reach[order] <= 2.5 * h     # own +- 2 may be direct
-            far = mf._far_field(mom, np.array([lam]), np.array([lo]),
+            far = lattice._far_field(mom, np.array([lam]), np.array([lo]),
                                 np.array([hi]), blocks, [(s, log)], [reach],
                                 False)[0, 0]
             terms = big.r2[n] * d ** -s * (np.log(d) if log else 1.0)
             mag = float(np.abs(terms).sum())
-            tol = mf._TRUNCATION * mag + (math.log2(blocks) + 4.0) * U * mag
+            tol = lattice._TRUNCATION * mag + (math.log2(blocks) + 4.0) * U * mag
             assert abs(far - exact_sum(terms)) <= tol
 
 
@@ -640,18 +641,18 @@ def test_moment_profile_matches_exact_sums_at_scale(big):
 
 
 def test_block_moments_built_once_and_lazily(monkeypatch):
-    from sebalab import arithmetic
-    calls = []
-    real = arithmetic._block_moments
-    monkeypatch.setattr(arithmetic, "_block_moments",
-                        lambda t: calls.append(t) or real(t))
+    built = []
+    real = lattice._build_blocks
+    monkeypatch.setattr(lattice, "_build_blocks",
+                        lambda mom, j0, j1, v: built.append((j0, j1)) or real(mom, j0, j1, v))
     t = build_table(100_000)
-    assert not calls and "moments" not in vars(t)
+    assert "moments" not in vars(t)
     mf.zeta_lambda(1000.5, 2.0, t, rel_tol=math.inf)
     mf.tail_tau(5000.5, 10.0, 1.5, t)
     mf.annulus_decay_ok(int(t.representable[2000]), 1.5, t)
     mf.moment_profile(1000.5, 0.5, 1000, (1.0, 2.0), t, rel_tol=math.inf)
-    assert calls == [t]
+    # every block built, each range once
+    assert built == [(0, t.moments.start.size - 1)]
     mom = t.moments
     assert mom is t.moments
     # M_k(j) against its definition, summed exactly

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sebalab import spectrum
+from sebalab import lattice, spectrum
 from sebalab.arithmetic import ArithmeticTable, build_table
 from sebalab.spectrum import (CouplingConfig, CutoffPolicy, EmptyWindowError,
                               NoConvergenceError, NoRootError, SebaSpectrum,
@@ -85,6 +85,16 @@ def test_cutoff_policy_validation():
         CutoffPolicy(min_span=0.0)
     assert CutoffPolicy().bound(50.0) == 10_050.0
     assert CutoffPolicy().bound(5000.0) == 50_000.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_config_rejected(bad):
+    for kwargs in ({"multiplier": bad}, {"min_span": bad}):
+        with pytest.raises(ValueError, match="finite"):
+            CutoffPolicy(**kwargs)
+    for kwargs in ({"theta": bad}, {"beta_c": bad}, {"root_tol": bad}):
+        with pytest.raises(ValueError, match="finite"):
+            CouplingConfig(mode="weak", **kwargs)
 
 
 def test_config_validation():
@@ -398,14 +408,13 @@ def test_weak_kernel_matches_direct_sum(big, theta, x0, count, chunk, table, big
                                         weak_kernels):
     # every lane's g, at the midpoint of its interval, against the directly
     # summed weak secular function at the chunk's frozen cutoff.  Bound per
-    # lane: each expanded point keeps its geometric series while
-    # (half/|n - c|)^k > 4^-26, at ratio |lam - c|/|n - c| <= 1/4, so it is
-    # off by at most (4/3) 4^-26 w/|n - c| <= (5/3) 4^-26 w/|n - lam|; each
-    # side adds up to ~2M terms pairwise (numpy sums 128-element leaves in 8
-    # lanes: 19 + log2(N/128) roundings deep, one more forming a term), so
-    # each errs by at most (13 + log2 N) u sum|terms|.  At midpoints no pole
-    # is nearer than half a gap, so sum|terms| < 350 and the bound stays
-    # below 3e-12; the differences seen are below 1e-13.
+    # lane: g.bound, the kernel's computed bound on its expansions'
+    # truncation and the block-moment engine's errors; each side adds up to
+    # ~2M terms pairwise (numpy sums 128-element leaves in 8 lanes:
+    # 19 + log2(N/128) roundings deep, one more forming a term), so each
+    # errs by at most (13 + log2 N) u sum|terms|.  At midpoints no pole is
+    # nearer than half a gap, so sum|terms| < 350 and the bound stays below
+    # 3e-12; the differences seen are below 1e-13.
     t = big_table if big else table
     rep = t.representable
     cfg = CouplingConfig(mode="weak", theta=theta)
@@ -433,9 +442,75 @@ def test_weak_kernel_matches_direct_sum(big, theta, x0, count, chunk, table, big
             want = (below + above - const_sum - cfg.theta
                     + math.pi * math.log(math.sqrt(x * x + 1.0) / (x - lam)))
             size = above - below + const_sum
-            bound = ((5.0 / 3.0) * 4.0 ** -26 + 2 * (13 + math.log2(len(n))) * u) * size
+            bound = g.bound + 2 * (13 + math.log2(len(n))) * u * size
             assert bound < 3e-12
             assert abs(got - want) <= bound, (lam, got - want, bound)
+
+
+def test_local_sums_match_exact_sums_at_far_chunk(big_table):
+    # the far chunk of 512 intervals at 9.1e5 (theta = -20) expands every
+    # point outside its window and the constant sum r2(n) n/(n^2+1) from the
+    # block moments: each S_k about the chunk centre, and S_0 about i, is
+    # within its returned bound of the sum over the same points in long
+    # double, whose own error (a few long-double ulps per term) is far below
+    rep = big_table.representable
+    cfg = CouplingConfig(mode="weak", theta=-20.0)
+    i0 = int(np.searchsorted(rep, 910_000))
+    left, right = float(rep[i0]), float(rep[i0 + 512])
+    x = cfg.cutoff.bound(right)
+    c, half = 0.5 * (left + right), 0.5 * (right - left)
+    reach = max(4.0 * half, 64.0)
+    s0 = int(np.searchsorted(rep, math.ceil(c - reach)))
+    s1 = int(np.searchsorted(rep, math.floor(min(c + reach, x)), side="right"))
+    order = spectrum._FAR_ORDER
+    coef, bound, size = lattice._local_sums(big_table, c, order, x, (s0, s1))
+    n = rep[:int(np.searchsorted(rep, math.floor(x), side="right"))]
+    n = np.concatenate((n[:s0], n[s1:]))
+    w = big_table.r2[n].astype(np.longdouble)
+    inv = 1.0 / (n.astype(np.longdouble) - np.longdouble(c))
+    term = w * inv
+    slack = 64 * np.finfo(np.longdouble).eps
+    for k in range(order):
+        want = term.sum()
+        mag = np.abs(term).sum()
+        assert mag <= size[k]
+        assert abs(np.longdouble(coef[k]) - want) <= bound[k] + slack * mag, k
+        term *= inv
+    # the evaluated series at |lam - c| <= half: the error budget of g
+    assert float(bound @ half ** np.arange(order)) < 1e-13
+    assert bound[0] < 4e-15 * size[0]
+
+    (const,), (err,), _ = lattice._local_sums(big_table, 1j, 1, x)
+    n = rep[:int(np.searchsorted(rep, math.floor(x), side="right"))]
+    m = n.astype(np.longdouble)
+    want = (big_table.r2[n] * (m / (m * m + 1))).sum()
+    assert abs(np.longdouble(const.real) - want) <= err + slack * want
+    assert err < 5e-15 * want
+
+
+def test_solve_range_builds_moments_once_before_threads(monkeypatch):
+    # a fresh table: the weak solve builds the moment ranges its chunks read,
+    # each once, before any chunk kernel runs, and no more blocks than it
+    # needs; threads do not change the records
+    events = []
+    build, kernel = lattice._build_blocks, spectrum._weak_kernel
+    monkeypatch.setattr(lattice, "_build_blocks", lambda mom, j0, j1, v: (
+        events.append(("build", j0, j1)), build(mom, j0, j1, v))[1])
+    monkeypatch.setattr(spectrum, "_weak_kernel", lambda *args: (
+        events.append(("kernel",)), kernel(*args))[1])
+    t = build_table(1_000_000)
+    two = solve_range(1000, 40_000, t, WEAK, threads=2)
+    builds = [e[1:] for e in events if e[0] == "build"]
+    assert events[:len(builds)] == [("build",) + b for b in builds]
+    assert len(events) > len(builds) + 2           # several chunks ran
+    assert [b[0] for b in builds] == [0] + [b[1] for b in builds[:-1]]
+    needed = math.floor(WEAK.cutoff.bound(40_000.0)) // 4096 + 1
+    assert needed <= builds[-1][1] < t.moments.start.size - 1
+    del events[:]
+    one = solve_range(1000, 40_000, t, WEAK, threads=1)
+    assert not [e for e in events if e[0] == "build"]
+    for f in ("j", "n_left", "n_right", "lam"):
+        assert np.array_equal(getattr(one, f), getattr(two, f))
 
 
 def test_weak_far_solve_thread_invariant(big_table):
