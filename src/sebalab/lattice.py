@@ -18,8 +18,8 @@ Shannon (coefficients a_i log|D| - sum_{1<=m<=i} a_{i-m}/m), annulus and
 unweighted sums, each block keeping the terms its ratio (h/2)/|D| needs for
 an error of 2^-56 of its value (_reach).  _local_sums gives the signed
 local coefficients S_k = sum r2(n) (n - c)^{-(k+1)} about a centre c, real
-or complex, by multipole-to-local translation, one (K x 32) @ (32 x blocks)
-product:
+or complex, by multipole-to-local translation, one (K x 31) @ (31 x blocks)
+product after the exact i = 0 term:
 
     S_k = sum_j D_j^{-(k+1)} sum_i C(k+i, i) (-h/D_j)^i M_i(j),  D_j = c_j - c.
 
@@ -128,7 +128,8 @@ def _local_sums(table, centre, order, x, skip=(0, 0)):
     n = rep[np.r_[a:s0, s1:e, max(int(start[end]), int(start[hi + 1])):i_x]]
     cols = np.r_[0:min(lo, end), hi + 1:end]
 
-    powers = lambda v, k: np.cumprod(np.broadcast_to(v, (k, len(v))), axis=0)
+    def powers(v, k):    # v, v^2, .., v^k as rows
+        return np.cumprod(np.broadcast_to(v, (k, len(v))), axis=0)
     y = 1.0 / (mom.centre(cols) - centre)
     m, xp, yp = mom.r2[:, cols], powers(-h * y, _BLOCK_ORDER - 1), powers(y, order)
     binom = _BINOM[:order, 1:]
