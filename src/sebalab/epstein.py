@@ -18,7 +18,25 @@ to the coordinate swap).  Three evaluation routes live here:
     its size needs: dps below x = pi Q(xi) = 2(|s| + 2); beyond, where the
     point adds at most 4 mult |pi^s/Gamma(s)| e^{-x}/x, just enough that
     the graded points together add at most 10^{-dps} (1% of the
-    certificate's 10^{2-dps} rounding term), each 1/#points of it;
+    certificate's 10^{2-dps} rounding term), each 1/#points of it.  Each
+    point takes the cheaper of two evaluators that meets that share:
+
+      - far points at real s, in float64 and closed form: the term is
+        (e^{-x}/x) [A(s, x) + A(1-s, x)] with A(a, x) = sum_{k<n} u_k(a)/x^k,
+        u_k(a) = (a-1)(a-2)...(a-k), the asymptotic series of Gamma(a, x).
+        For real a, x > 0 and n >= a - 1 its remainder is bounded by the
+        first neglected term (DLMF 8.11(i)).  A point takes this tier when
+        that remainder plus the float64 rounding (x's own rounding from
+        working precision included), computed at run time, is within the
+        point's share 10^{-w} of 4 e^{-x}/x;
+      - the other points in mpmath at the graded digits w: for real
+        non-integer orders a (s and 1 - s) Gamma(a, x) = Gamma(a) -
+        gamma(a, x), with Gamma(a) computed once per value and gamma(a, x)
+        at w digits plus the ones the subtraction cancels, estimated from
+        Gamma(a, x) ~ x^{a-1} e^{-x}, plus 2.  The digits actually lost are
+        checked on each result, and a point that lost more is redone with
+        more digits.  Integer orders (where Gamma has poles or the
+        closed form is cheap) and complex s take mpmath's upper gammainc.
   * the functional equation zeta_Q(s) = phi_Q(s) zeta_Q(1-s) with
     phi_Q(s) = pi^{2s-1} Gamma(1-s)/Gamma(s), used as a consistency check.
 
@@ -131,6 +149,9 @@ def _sum_over_lattice(form: RectangularForm, r_cut: float,
 
     m_max = axis_count(a2)
     n_axis = axis_count(inv_a2)
+    # every column's offsets inv_a2 n^2 are a prefix of the n axis's
+    narr = np.arange(1.0, n_axis + 1.0)
+    offsets = inv_a2 * narr * narr
 
     re_parts, im_parts = [], []
     complex_mode = False
@@ -149,8 +170,7 @@ def _sum_over_lattice(form: RectangularForm, r_cut: float,
         push(2.0, np.sum(fn(a2 * marr * marr)))
         count += 2 * m_max
     if n_axis >= 1:
-        narr = np.arange(1.0, n_axis + 1.0)
-        push(2.0, np.sum(fn(inv_a2 * narr * narr)))
+        push(2.0, np.sum(fn(offsets)))
         count += 2 * n_axis
 
     for m in range(1, m_max + 1):
@@ -163,8 +183,7 @@ def _sum_over_lattice(form: RectangularForm, r_cut: float,
             n_hi -= 1
         if n_hi < 1:
             continue
-        narr = np.arange(1.0, n_hi + 1.0)
-        push(4.0, np.sum(fn(q0 + inv_a2 * narr * narr)))
+        push(4.0, np.sum(fn(q0 + offsets[:n_hi])))
         count += 4 * n_hi
 
     total: Number = math.fsum(re_parts)
@@ -298,40 +317,143 @@ def _graded_dps(x: float, s_abs: float, dps: int, scale: float) -> int:
     return min(dps, max(5, math.ceil(dps + scale - math.log10(x) - x / math.log(10))))
 
 
+def _theta_points(a2, q_cut: float) -> list:
+    """(m, n, Q) for m, n >= 0, not both 0, with Q = a2 m^2 + n^2/a2 <= q_cut.
+
+    a2 = a^2 at working precision; each point stands for its 4 (interior) or
+    2 (axis) images under sign changes.
+    """
+    points = []
+    m = 0
+    while (q0 := a2 * m * m) <= q_cut:
+        n = 0 if m > 0 else 1
+        while (q := q0 + n * n / a2) <= q_cut:
+            points.append((m, n, q))
+            n += 1
+        m += 1
+    return points
+
+
+_FAR_TERMS = 64          # terms of the asymptotic series the far tier holds
+_U = 2.0 ** -53          # unit roundoff of float64
+
+
+def _asymptotic(factors: np.ndarray, n_min: int, x: np.ndarray):
+    """(A, bound) for x^{1-a} e^x Gamma(a, x) ~ A = sum_{k<n} u_k(a)/x^k.
+
+    u_k(a) = (a-1)(a-2)...(a-k), with factors[k-1] = a - k rounded once.  At
+    each x the sum stops at the n >= n_min whose first neglected term is
+    smallest; for real a, x > 0 and n >= max(1, a - 1) that term bounds the
+    remainder (DLMF 8.11(i)).  The bound adds the rounding, to first order:
+    4k u on term k (its factors, divisions and products, and x's own
+    rounding from working precision) and (n - 1) u on the sum.
+    """
+    terms = np.ones((len(factors) + 1, len(x)))
+    np.cumprod(factors[:, None] / x, axis=0, out=terms[1:])
+    size = np.abs(terms)
+    n = n_min + np.argmin(size[n_min:], axis=0)
+    k = np.arange(len(terms))[:, None]
+    kept = k < n
+    total = np.where(kept, terms, 0.0).sum(axis=0)
+    rounding = _U * np.where(kept, size * (4 * k + n), 0.0).sum(axis=0)
+    return total, size[n, np.arange(len(x))] + rounding
+
+
+def _far_terms(s: float, x: np.ndarray):
+    """x^{-s} Gamma(s, x) + x^{s-1} Gamma(1-s, x) at real s, in float64.
+
+    Both terms are e^{-x}/x times the asymptotic sum of their order, so
+    the point needs no power and no gammainc call.  Returns the values and
+    their error bounds in units of e^{-x}/x: the two sums' bounds plus
+    (x + 10) u, for x's rounding in e^{-x} (x u) and in the division, the
+    exponential (4 u), the division, the sum, the product and the caller's
+    final fsum, padded by 1% for the higher orders.
+    """
+    k = np.arange(1.0, _FAR_TERMS)
+    a_s, bound_s = _asymptotic(s - k, max(1, math.ceil(s - 1.0)), x)
+    a_r, bound_r = _asymptotic((1.0 - k) - s, max(1, math.ceil(-s)), x)
+    rel = 1.01 * (bound_s + bound_r + (x + 10.0) * _U * (np.abs(a_s) + np.abs(a_r)))
+    return np.exp(-x) / x * (a_s + a_r), rel
+
+
+def _cancelled_digits(log_gamma: float, a: float, x: float) -> int:
+    """Digits Gamma(a) - gamma(a, x) cancels, from Gamma(a, x) ~ x^{a-1} e^{-x}."""
+    return max(0, math.ceil(log_gamma - (a - 1.0) * math.log10(x) + x / math.log(10)))
+
+
+def _upper_gamma(a):
+    """f(x, w): Gamma(a, x) to w digits.
+
+    For real non-integer a, Gamma(a) - gamma(a, x): Gamma(a) is computed once
+    (again only when a point needs more digits) and gamma(a, x) at w digits
+    plus the ones the subtraction cancels plus 2.  The cancellation is
+    checked on the result, and the point is redone with more digits when it
+    lost more than one digit beyond the estimate.  Other orders take
+    mpmath's upper gammainc at w digits.
+    """
+    if not isinstance(a, mp.mpf) or mp.isint(a):
+        def upper(x, w):
+            with mp.workdps(w):
+                return mp.gammainc(a, a=x)
+        return upper
+    held = [mp.mp.dps, mp.gamma(a)]    # digits, Gamma(a)
+    log_gamma = float(mp.log10(abs(held[1])))
+
+    def upper(x, w):
+        lost = _cancelled_digits(log_gamma, float(a), float(x))
+        while True:
+            digits = w + lost + 2
+            with mp.workdps(digits):
+                if digits > held[0]:
+                    held[:] = [digits, mp.gamma(a)]
+                g = held[1] - mp.gammainc(a, 0, x)
+            seen = (math.ceil((mp.mag(held[1]) - mp.mag(g)) * math.log10(2))
+                    if g > 0 else digits)
+            if seen <= lost + 1:
+                return g
+            lost = seen
+
+    return upper
+
+
 @lru_cache(maxsize=4096)
 def _continued_cached(a: float, s_key: complex, dps: int) -> Tuple[complex, float]:
     form = RectangularForm(a)
     s_abs = abs(s_key)
     q_cut = _continued_cutoff(s_abs, dps)
     d = form.cell_diameter
+    real = s_key.imag == 0
     with _MP_LOCK, mp.workdps(dps):
-        s = mp.mpmathify(s_key.real) if s_key.imag == 0 else mp.mpc(s_key)
+        s = mp.mpmathify(s_key.real) if real else mp.mpc(s_key)
         pi = mp.pi
         bracket = -1 / s - 1 / (1 - s)
-        a2 = mp.mpf(a) ** 2    # lattice values at working precision, not float64
-        points = []            # (mult, x = pi Q) for 0 < Q <= q_cut
-        m_max = int(math.sqrt(q_cut) / a) + 1
-        for m in range(0, m_max + 1):
-            q0 = a2 * m * m
-            if q0 > q_cut:
-                break
-            n = 0 if m > 0 else 1
-            while True:
-                q = q0 + n * n / a2
-                if q > q_cut:
-                    break
-                points.append((4 if (m > 0 and n > 0) else 2, pi * q))
-                n += 1
+        # lattice values at working precision, not float64
+        points = [(4 if m and n else 2, pi * q)
+                  for m, n, q in _theta_points(mp.mpf(a) ** 2, q_cut)]
+        mult_f = np.array([p[0] for p in points], dtype=float)
+        x_f = np.array([float(p[1]) for p in points])
         # rgamma is entire: at s = -1, -2, ... the reciprocal vanishes and
         # the trivial zeros of zeta_Q come out as exact zeros, no pole
         prefactor = pi ** s * mp.rgamma(s)
         # guard log10(#points): each graded point may add 10^{-dps}/#points
         scale = math.log10(4 * len(points)) + float(mp.log10(max(1, abs(prefactor))))
+        w = np.array([_graded_dps(x, s_abs, dps, scale + math.log10(m))
+                      for m, x in zip(mult_f, x_f)], dtype=int)
+        # far tier: graded points whose float64 bound is within their share,
+        # 10^{-w} of the point bound 4 e^{-x}/x
+        far = np.zeros(len(points), dtype=bool)
+        if real and s_abs < _FAR_TERMS - 1:
+            far = x_f >= 2.0 * (s_abs + 2.0)
+            value, rel = _far_terms(s_key.real, x_f[far])
+            ok = rel <= 4.0 * 10.0 ** -w[far].astype(float)
+            bracket += math.fsum(mult_f[far][ok] * value[ok])
+            far[far] = ok
         s1 = 1 - s
-        for mult, x in points:
-            with mp.workdps(_graded_dps(float(x), s_abs, dps, scale + math.log10(mult))):
-                g = mp.gammainc(s, a=x)     # shared only where 1 - s == s exactly
-                g1 = g if s1 == s else mp.gammainc(s1, a=x)
+        upper, upper1 = _upper_gamma(s), _upper_gamma(s1)
+        for i in np.flatnonzero(~far):
+            mult, x = points[i]
+            g = upper(x, int(w[i]))
+            g1 = g if s1 == s else upper1(x, int(w[i]))   # shared only where 1 - s == s
             bracket += mult * (x ** (-s) * g + x ** (s - 1) * g1)
         zeta = prefactor * bracket
         # certified truncation tail: per-point bound 4 e^{-pi Q}/(pi Q) and a

@@ -263,6 +263,17 @@ def _model_root(a, b, ga, gb, n_l, n_r, w_l, w_r):
     return n_l + d
 
 
+def _check_resolution(lo: np.ndarray, hi: np.ndarray, tol: float,
+                      where: Callable[[int], str]) -> None:
+    """NoConvergenceError when tol is below 8 ulp of some bracket's ends."""
+    floor = 8.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+    if float(floor.max()) > tol:
+        k = int(np.argmax(floor))
+        raise NoConvergenceError(
+            f"{where(k)}: root_tol={tol} is below the floating resolution "
+            f"~{floor[k]:.3g} of this interval")
+
+
 def _lockstep(g: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, poles,
               tol: float, where: Callable[[int], str]) -> np.ndarray:
     """Roots of increasing functions, one bracket (lo[k], hi[k]) per lane k.
@@ -290,12 +301,7 @@ def _lockstep(g: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, poles,
         raise NoRootError(
             f"{where(k)}: no sign change on [{lo[k]}, {hi[k]}]: "
             f"g(lo)={g_lo[k]:.3g}, g(hi)={g_hi[k]:.3g}")
-    floor = 8.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
-    if float(floor.max()) > tol:
-        k = int(np.argmax(floor))
-        raise NoConvergenceError(
-            f"{where(k)}: root_tol={tol} is below the floating resolution "
-            f"~{floor[k]:.3g} of this interval")
+    _check_resolution(lo, hi, tol, where)
     hi = np.where(g_lo == 0.0, lo, hi)
     lo = np.where(g_hi == 0.0, hi, lo)
     root = 0.5 * (lo + hi)
@@ -375,6 +381,16 @@ def _local_moments(n: np.ndarray, w: np.ndarray, c: np.ndarray, half: np.ndarray
     return m
 
 
+def _weak_cutoff(table: ArithmeticTable, config: CouplingConfig, lam_top: float) -> float:
+    """The cutoff of a weak chunk whose intervals end at lam_top, or
+    TruncationError when it passes the table."""
+    x = config.cutoff.bound(lam_top)
+    if x > table.x_max:
+        raise TruncationError(
+            f"cutoff {x:.6g} for intervals up to n={lam_top:.0f} exceeds x_max")
+    return x
+
+
 def _weak_kernel(table: ArithmeticTable, prefix: Tuple[np.ndarray, ...],
                  j_lo: int, j_hi: int, config: CouplingConfig):
     """Two-level far-field kernel at one frozen cutoff.
@@ -388,10 +404,7 @@ def _weak_kernel(table: ArithmeticTable, prefix: Tuple[np.ndarray, ...],
     """
     base, rep_f, w_f = prefix
     lam_top = rep_f[j_hi + 1 - base]
-    x = config.cutoff.bound(lam_top)
-    if x > table.x_max:
-        raise TruncationError(
-            f"cutoff {x:.6g} for intervals up to n={lam_top:.0f} exceeds x_max")
+    x = _weak_cutoff(table, config, lam_top)
 
     def window(left, right):
         # centre, half-span and direct-sum reach of lanes spanning [left, right]
@@ -486,10 +499,28 @@ def _solve_chunk(table: ArithmeticTable, prefix: Tuple[np.ndarray, ...],
     if config.mode == "strong":
         # a strong window may stop short of n_{j+1}; g then has no pole there
         w_right = np.where(right <= _window_keys(left)[1], w_right, 0.0)
-    lo = left + 1e-12 * np.maximum(left, 1.0)
-    hi = right - 1e-12 * np.maximum(right, 1.0)
-    return _lockstep(g, lo, hi, (left, right, w_left, w_right), config.root_tol,
-                     lambda k: f"interval j={j_lo + k} ({left[k]:.0f}, {right[k]:.0f})")
+    lo, hi, where = _brackets(left, right, j_lo)
+    return _lockstep(g, lo, hi, (left, right, w_left, w_right), config.root_tol, where)
+
+
+def _brackets(left: np.ndarray, right: np.ndarray, j_lo: int):
+    """(lo, hi, where): the lanes' first brackets, just inside (n_j, n_{j+1}),
+    and their names for error messages."""
+    return (left + 1e-12 * np.maximum(left, 1.0), right - 1e-12 * np.maximum(right, 1.0),
+            lambda k: f"interval j={j_lo + k} ({left[k]:.0f}, {right[k]:.0f})")
+
+
+def _check_chunk(table: ArithmeticTable, block: Tuple[int, int],
+                 config: CouplingConfig) -> None:
+    """Raise what solving block = (j_lo, j_hi) raises before its kernel sums:
+    TruncationError for a weak cutoff past the table, NoConvergenceError
+    for a root_tol below the float resolution."""
+    j_lo, j_hi = block
+    n = table.representable[j_lo:j_hi + 2].astype(np.float64)
+    if config.mode == "weak":
+        _weak_cutoff(table, config, n[-1])
+    lo, hi, where = _brackets(n[:-1], n[1:], j_lo)
+    _check_resolution(lo, hi, config.root_tol, where)
 
 
 def solve_interval(j: int, table: ArithmeticTable, config: CouplingConfig) -> float:
@@ -568,6 +599,14 @@ def solve_range(x_min: int, x_max_solve: int, table: ArithmeticTable,
     js = np.arange(i_lo, i_hi, dtype=np.int64)
     blocks: List[Tuple[int, int]] = [
         (int(a), int(min(a + chunk - 1, i_hi - 1))) for a in range(i_lo, i_hi, chunk)]
+    # both checks grow with n: if the top chunk passes, every chunk does;
+    # else the first chunk that fails raises, before any work is done
+    try:
+        _check_chunk(table, blocks[-1], config)
+    except (TruncationError, NoConvergenceError):
+        for block in blocks:
+            _check_chunk(table, block, config)
+        raise
     prefix = _prefix(table, blocks, config)
     if config.mode == "weak":    # the moments every chunk reads, before threads
         table.moments.upto(config.cutoff.bound(float(rep[i_hi])))

@@ -269,6 +269,100 @@ def test_graded_dps_full_below_the_point_bound_and_never_above_dps():
     assert epstein._graded_dps(70.0, 0.3, 25, 2.0) < 25
 
 
+@pytest.fixture
+def cold_continued():
+    """A cold continuation cache, emptied again after the test."""
+    epstein._continued_cached.cache_clear()
+    yield
+    epstein._continued_cached.cache_clear()
+
+
+@pytest.mark.parametrize("a", np.arange(-7.5, 8.75, 0.5))
+def test_far_tier_within_its_bound(a):
+    # x^{1-a} e^x Gamma(a, x) against mpmath at 40 digits, from the far
+    # tier's least x, 2(|a| + 2), to 120; at integer a >= 1 the series ends
+    # and only rounding is left.  A copy that stops one term early, or
+    # leaves the remainder out of the bound, fails here
+    x = np.geomspace(2.0 * (abs(a) + 2.0), 120.0, 24)
+    k = np.arange(1.0, epstein._FAR_TERMS)
+    got, bound = epstein._asymptotic(a - k, max(1, math.ceil(a - 1.0)), x)
+    with mp.workdps(40):
+        want = [float(mp.gammainc(a, xi) * mp.mpf(xi) ** (1 - a) * mp.exp(xi)) for xi in x]
+    assert np.all(np.abs(got - want) <= bound)
+    # the bound is of use: float64 rounding alone once x >= 50
+    assert np.all(bound[x >= 50.0] <= 1e-13 * np.abs(got[x >= 50.0]))
+
+
+@pytest.mark.parametrize("s", [-6.5, -2.0, -0.4, 0.3, 0.5, 0.7, 1.4, 2.0, 3.0, 7.5])
+def test_far_terms_within_their_bound(s):
+    # the point term x^{-s} Gamma(s, x) + x^{s-1} Gamma(1-s, x); the order
+    # 1 - s is never rounded, its factors are formed from s
+    x = np.geomspace(2.0 * (abs(s) + 2.0), 120.0, 16)
+    value, rel = epstein._far_terms(s, x)
+    with mp.workdps(40):
+        want = [float(mp.mpf(xi) ** -s * mp.gammainc(s, xi)
+                      + mp.mpf(xi) ** (s - 1) * mp.gammainc(1 - mp.mpf(s), xi)) for xi in x]
+    assert np.all(np.abs(value - want) <= rel * np.exp(-x) / x)
+
+
+def test_lower_route_adds_digits_when_cancellation_underestimated(monkeypatch):
+    # Gamma(a, 30) = Gamma(a) - gamma(a, 30) cancels ~13 digits at a = 0.3;
+    # told that nothing cancels, the route must see the loss on its result
+    # and redo the point with more digits, until the result holds them
+    calls = []
+    gammainc = mp.gammainc
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gammainc(*args, **kwargs)
+
+    monkeypatch.setattr(epstein, "_cancelled_digits", lambda *args: 0)
+    monkeypatch.setattr(mp, "gammainc", counted)
+    for a in (0.3, -2.7):
+        calls.clear()
+        with mp.workdps(25):
+            order = mp.mpf(a)
+            got = epstein._upper_gamma(order)(mp.mpf(30), 12)
+        with mp.workdps(40):
+            want = gammainc(order, 30)
+            assert abs(got - want) <= 10.0 ** -12 * abs(want)
+        assert len(calls) >= 2
+
+
+def test_continued_needs_few_upper_gammas(monkeypatch, cold_continued):
+    # a = 1.2, s = 0.3, dps 25 has 24 theta-sum points, 48 upper-gamma calls
+    # on the per-point route: the far tier takes the far points in closed
+    # form (without it, 48 lower gammas) and the others subtract a lower
+    # gamma from one Gamma(a)
+    calls = []
+    gammainc = mp.gammainc
+
+    def counted(z, a=0, b=mp.inf, **kwargs):
+        calls.append(b == mp.inf)
+        return gammainc(z, a, b, **kwargs)
+
+    monkeypatch.setattr(mp, "gammainc", counted)
+    v = epstein_continued(F12, 0.3)
+    assert sum(calls) < 46 and len(calls) < 46    # upper gammas, all gammas
+    assert abs(v.value - chowla_selberg(1.2, 0.3)) <= v.certified_error + 4 * 2.0 ** -53 * 2.2
+
+
+def test_dropped_lattice_point_fails_the_independent_check_only(monkeypatch, cold_continued):
+    # drop the points (+-1, +-1) from the theta sum: Chowla-Selberg sees the
+    # wrong sum in the strip, while the reflection law, whose bracket is
+    # symmetric under s <-> 1 - s term by term, still holds to rounding
+    points = epstein._theta_points
+    monkeypatch.setattr(epstein, "_theta_points",
+                        lambda *args: [p for p in points(*args) if p[:2] != (1, 1)])
+    for a in (1.0, 1.2):
+        for s in (-0.4, 0.3, 0.7, 1.4):
+            v = epstein_continued(RectangularForm(a), s)
+            want = chowla_selberg(a, s)
+            assert abs(v.value - want) > v.certified_error + 4 * 2.0 ** -53 * abs(want)
+        for q in (0.05, 0.15, 0.35, 0.45):
+            assert symmetry_check(RectangularForm(a), q) < 1e-8
+
+
 @pytest.mark.parametrize("dps", [0, -3])
 def test_non_positive_dps_rejected(dps):
     with pytest.raises(ValueError, match="dps must be a positive integer"):

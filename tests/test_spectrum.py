@@ -219,6 +219,22 @@ def test_root_tol_below_float_resolution_raises(table):
         solve_interval(j, table, CouplingConfig(mode="weak", root_tol=1e-16))
 
 
+def test_solve_range_fails_before_building_moments():
+    # a cutoff past the table and a root_tol below the float resolution are
+    # known from the chunk bounds alone: solve_range raises them, with the
+    # message of the first chunk that would fail, before any block is built
+    fresh = build_table(1_000_000)
+    with pytest.raises(TruncationError,
+                       match=r"cutoff 1.01722e\+06 for intervals up to n=101722 exceeds x_max"):
+        solve_range(95_000, 120_000, fresh, WEAK)
+    assert fresh.moments.built == 0
+    j = int(np.searchsorted(fresh.representable, 2048))
+    with pytest.raises(NoConvergenceError,
+                       match=rf"interval j={j} \(2048, 2050\): root_tol=1e-13 is below"):
+        solve_range(1000, 90_000, fresh, CouplingConfig(mode="weak", root_tol=1e-13))
+    assert fresh.moments.built == 0
+
+
 def test_solve_ground_weak_and_strong(table):
     lam = solve_ground(table, WEAK)
     assert lam < 0.0
