@@ -25,9 +25,9 @@ import tempfile
 
 from . import __version__
 from .arithmetic import CapacityError, build_table
-from .epstein import (LogDomainError, NonconvergenceError, PoleError,
-                      RectangularForm, epstein_continued, epstein_direct,
-                      ground_exponents, symmetry_check)
+from .epstein import (DIRECT_MIN_RE_S, LogDomainError, NonconvergenceError,
+                      PoleError, RectangularForm, epstein_continued,
+                      epstein_direct, ground_exponents, symmetry_check)
 from .multifractal import (FilterConfig, fractal_estimates, mean_tail,
                            moment_profile)
 from .spectrum import CouplingConfig, CutoffPolicy, solve_range
@@ -172,8 +172,7 @@ def _default_table_max(cfg):
         return int(math.ceil(3.0 * cfg["t"]))
     if cfg["mode"] == "weak":
         # the truncation bound at the largest root must fit in the table
-        return int(math.ceil(max(cfg["multiplier"] * cfg["x_max"],
-                                 cfg["x_max"] + cfg["min_span"])))
+        return int(math.ceil(_coupling_from(cfg).cutoff.bound(cfg["x_max"])))
     window = cfg["x_max"] + 2 * int(math.sqrt(cfg["x_max"])) + 8
     if cfg["command"] == "moments":
         # zeta sums need the table to reach 2*lambda; every root lies below
@@ -269,7 +268,7 @@ def _run_epstein(cfg, threads):
     form = RectangularForm(a=cfg["a"])
     s = cfg["s"]
     got = None
-    if s > 1.05:
+    if s > DIRECT_MIN_RE_S:
         try:
             got = epstein_direct(form, s, tol=cfg["tol"])
         except NonconvergenceError:
@@ -370,6 +369,8 @@ def execute(cfg, threads=None):
         raise ValueError(f"{cmd} config has invalid {', '.join(bad)}")
     if "mode" in cfg:    # the coupling's own checks, before the cutoff sizes a table
         _coupling_from(cfg)
+    if cmd == "tail" and not math.isfinite(cfg["t"]):
+        raise ValueError(f"t must be finite, got {cfg['t']}")
     cfg = resolve_config(argparse.Namespace(**cfg))
     if cmd in ("epstein", "exponents") and cfg["format"] == "csv":
         raise ValueError(f"{cmd} produces a nested report; use json")
@@ -379,6 +380,11 @@ def execute(cfg, threads=None):
         raise ValueError("dps must be >= 1")
     if not cfg.get("tol", 1.0) > 0:
         raise ValueError(f"tol must be positive, got {cfg['tol']}")
+    # NaN fails no comparison, so the checks above and the library's let it by
+    nan = sorted(f"{key}={val!r}" for key, val in cfg.items()
+                 if any(v != v for v in (val if isinstance(val, list) else [val])))
+    if nan:
+        raise ValueError(f"{cmd} config has NaN, not a finite number, in {', '.join(nan)}")
     return render(cfg, _HANDLERS[cmd](cfg, threads))
 
 

@@ -74,6 +74,7 @@ import numpy as np
 Number = Union[float, complex]
 
 _MP_LOCK = threading.Lock()  # mpmath precision state is process-global
+DIRECT_MIN_RE_S = 1.05       # the direct shell routes need Re s above this
 
 
 class PoleError(ValueError):
@@ -133,63 +134,35 @@ def _sum_over_lattice(form: RectangularForm, r_cut: float,
                       fn: Callable[[np.ndarray], np.ndarray]) -> Tuple[Number, int]:
     """Sum fn(Q(xi)) over nonzero xi with Q(xi) <= r_cut; also count points.
 
-    Enumerates one quadrant per column of constant m and folds in the
-    four-fold (interior) / two-fold (axis) multiplicities.  Column sums are
-    combined with compensated summation.
+    Enumerates one quadrant per column of constant m >= 0, n >= 1, plus the
+    m axis, and folds in the two-fold (axes) / four-fold (interior)
+    multiplicities.  Column sums are combined with compensated summation.
     """
-    a = form.a
-    a2 = a * a
+    a2 = form.a * form.a
     inv_a2 = 1.0 / a2
-
-    def axis_count(coef: float) -> int:
-        k = int(math.sqrt(r_cut / coef)) + 1
-        while coef * k * k > r_cut:
-            k -= 1
-        return k
-
-    m_max = axis_count(a2)
-    n_axis = axis_count(inv_a2)
-    # every column's offsets inv_a2 n^2 are a prefix of the n axis's
-    narr = np.arange(1.0, n_axis + 1.0)
+    # columns m = 0..m_max: q0 = a2 m^2 <= r_cut, and n <= top[m] with
+    # inv_a2 n^2 <= r_cut - q0; the square roots guess top from above
+    marr = np.arange(float(int(math.sqrt(r_cut * inv_a2)) + 2))
+    q0 = a2 * marr * marr
+    q0 = q0[q0 <= r_cut]
+    rem = r_cut - q0
+    top = np.floor(np.sqrt(rem * a2)) + 1.0
+    while (over := inv_a2 * top * top > rem).any():
+        top -= over
+    # every column's offsets inv_a2 n^2 are a prefix of column 0's
+    narr = np.arange(1.0, top[0] + 1.0)
     offsets = inv_a2 * narr * narr
 
-    re_parts, im_parts = [], []
-    complex_mode = False
-
-    def push(mult: float, col) -> None:
-        nonlocal complex_mode
-        x = mult * complex(col)
-        if np.iscomplexobj(col):
-            complex_mode = True
-        re_parts.append(x.real)
-        im_parts.append(x.imag)
-
-    count = 0
-    if m_max >= 1:
-        marr = np.arange(1.0, m_max + 1.0)
-        push(2.0, np.sum(fn(a2 * marr * marr)))
-        count += 2 * m_max
-    if n_axis >= 1:
-        push(2.0, np.sum(fn(offsets)))
-        count += 2 * n_axis
-
-    for m in range(1, m_max + 1):
-        q0 = a2 * m * m
-        rem = r_cut - q0
-        if rem < inv_a2:
-            continue
-        n_hi = int(math.sqrt(rem * a2)) + 1
-        while inv_a2 * n_hi * n_hi > rem:
-            n_hi -= 1
-        if n_hi < 1:
-            continue
-        push(4.0, np.sum(fn(q0 + offsets[:n_hi])))
-        count += 4 * n_hi
-
-    total: Number = math.fsum(re_parts)
-    if complex_mode:
-        total = complex(total, math.fsum(im_parts))
-    return total, count
+    sums = [np.sum(fn(q0[1:]))] + [np.sum(fn(q0[m] + offsets[:int(top[m])]))
+                                   for m in range(len(q0))]
+    # the m axis and column 0 (the n axis) count twice, other columns four times
+    weights = np.full(len(sums), 4.0)
+    weights[:2] = 2.0
+    parts = weights * np.array(sums)
+    total: Number = math.fsum(parts.real)
+    if np.iscomplexobj(parts):
+        total = complex(total, math.fsum(parts.imag))
+    return total, int(2 * (len(q0) - 1) + 2 * top[0] + 4 * top[1:].sum())
 
 
 def _bound_radius(finish, tol: float, r_max: float) -> float:
@@ -242,8 +215,8 @@ def epstein_direct(form: RectangularForm, s: Number, tol: float = 1e-10,
     """
     _check_finite(s)
     sigma = s.real if isinstance(s, complex) else float(s)
-    if sigma <= 1.05:
-        raise ValueError("epstein_direct requires Re s > 1.05 "
+    if sigma <= DIRECT_MIN_RE_S:
+        raise ValueError(f"epstein_direct requires Re s > {DIRECT_MIN_RE_S} "
                          "(use epstein_continued below the margin)")
     s_abs = abs(s)
     d = form.cell_diameter
@@ -278,8 +251,8 @@ def zeta_Q_derivative(form: RectangularForm, s: float, tol: float = 1e-8,
 @lru_cache(maxsize=256)
 def _deriv_cached(a: float, s: float, tol: float, r_max: float) -> float:
     form = RectangularForm(a)
-    if s <= 1.05:
-        raise ValueError("zeta_Q_derivative requires s > 1.05")
+    if s <= DIRECT_MIN_RE_S:
+        raise ValueError(f"zeta_Q_derivative requires s > {DIRECT_MIN_RE_S}")
     d = form.cell_diameter
 
     def finish(partial, e_boundary, r):
@@ -593,8 +566,8 @@ def _zeta_star(form: RectangularForm, lam: float, s: float, tol: float,
     _check_finite(s)
     s = float(s)
     lam = float(lam)
-    if s <= 1.05:
-        raise ValueError("zeta*_lambda needs s > 1.05 for direct summation")
+    if s <= DIRECT_MIN_RE_S:
+        raise ValueError(f"zeta*_lambda needs s > {DIRECT_MIN_RE_S} for direct summation")
     if lam < 0 or lam >= form.min_nonzero:
         raise ValueError(
             f"lambda={lam} outside [0, {form.min_nonzero}): sign change inside the sum")

@@ -78,6 +78,8 @@ def _checked_zeta(table, lams, s_list, x_window=None, rel_tol=None,
     The Shannon entropy -sum mu log mu of the atoms r2(n)|n - lam|^{-2}/Z
     needs 2 in ``s_list``.
     """
+    if rel_tol is not None and math.isnan(rel_tol):
+        raise ValueError("rel_tol must be a number or inf, got nan")
     lams = np.asarray(lams, dtype=np.float64)
     for lam in lams[lams == np.rint(lams)]:
         _check_pole(float(lam), table)
@@ -114,7 +116,7 @@ def zeta_lambda(lam, s, table, x_window=None, rel_tol=1e-8):
     computed value; pass ``rel_tol=math.inf`` to disable enforcement on
     contrived tables.
     """
-    if s <= 1.0:
+    if not s > 1.0:
         raise ValueError(f"require s > 1, got s={s}")
     values, tails, _ = _checked_zeta(table, [lam], [s], x_window, rel_tol)
     return ZetaValue(float(values[0, 0]), tails[0])
@@ -150,11 +152,11 @@ def moment_profile(lam, delta, n_tilde, q_grid, table,
     the grid.
     """
     qs = tuple(float(q) for q in q_grid)
-    if not qs or any(b <= a for a, b in zip(qs, qs[1:])):
+    if not qs or not all(b > a for a, b in zip(qs, qs[1:])):
         raise ValueError("q_grid must be ascending and non-empty")
-    if qs[0] <= 0.5:
+    if not qs[0] > 0.5:
         raise ValueError(f"require q > 1/2, got q={qs[0]}")
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError("delta must be positive")
     grid = tuple(dict.fromkeys(qs + (1.0,)))   # grid plus the pivot q = 1
     values, tails, shannon = _checked_zeta(
@@ -172,9 +174,9 @@ def moment_profile(lam, delta, n_tilde, q_grid, table,
 def tail_tau(t, G, q, table):
     """Zeta tail outside the annulus |m - t| < G, plus a certified bound
     on the part of the tail beyond the table."""
-    if q <= 0.5:
+    if not q > 0.5:
         raise ValueError(f"require q > 1/2, got q={q}")
-    if G < 1.0:
+    if not G >= 1.0:
         raise ValueError(f"require G >= 1, got G={G}")
     if table.x_max <= t:
         raise InsufficientWindowError(
@@ -193,10 +195,10 @@ def mean_tail(T, G, q, table):
     t - m.  The |t-m| > T remainder is not part of the integral; a bound
     for it is returned separately.
     """
-    if q <= 0.5:
+    if not q > 0.5:
         raise ValueError(f"require q > 1/2, got q={q}")
     T = float(T)
-    if T < 16.0:
+    if not T >= 16.0:
         raise ValueError("T too small")
     if not 1.0 <= G <= T ** 0.9:
         raise ValueError(f"require 1 <= G <= T^0.9, got G={G}")
@@ -228,9 +230,9 @@ def mean_tail(T, G, q, table):
 
 def essential_support_G(mean_delta: float, q: float) -> float:
     """Annulus half-width solving <Delta>^{2q} * (2pi/(2q-1)) G^{1-2q} = 1."""
-    if q <= 0.5:
+    if not q > 0.5:
         raise ValueError(f"require q > 1/2, got q={q}")
-    if mean_delta <= 0.0:
+    if not mean_delta > 0.0:
         raise ValueError("mean_delta must be positive")
     return (_TWO_PI / (2.0 * q - 1.0) * mean_delta ** (2.0 * q)) \
         ** (1.0 / (2.0 * q - 1.0))
@@ -266,7 +268,7 @@ def theory_exponents(alpha, c, q):
 
 def rigid_bound_f(q: float) -> float:
     """Improved tail exponent f(q) = (log2/2)(exp{log2/(q-1/2)} - 1)."""
-    if q < 1.5:
+    if not q >= 1.5:
         raise ValueError(f"require q >= 3/2, got {q}")
     return _HALF_LOG2 * (math.exp(math.log(2.0) / (q - 0.5)) - 1.0)
 
@@ -277,7 +279,7 @@ def breakdown_diagnostic(q: float) -> BreakdownInterval:
     Returns [(1-1/2q) log2, (1-1/2q)(1 + 2log2/(2q-1)) log2] and whether
     the constant-exponent point d_q = log 2 falls inside it.
     """
-    if q < 1.5:
+    if not q >= 1.5:
         raise ValueError(f"require q >= 3/2, got {q}")
     base = (1.0 - 1.0 / (2.0 * q)) * math.log(2.0)
     upper = base * (1.0 + 2.0 * math.log(2.0) / (2.0 * q - 1.0))
@@ -352,6 +354,10 @@ class FilterConfig:
     delta_eps: float = 0.25    # Delta_j <= (log ñ_j)^{alpha_hat + delta_eps}
     alpha: Optional[float] = None   # pin alpha_hat instead of estimating
 
+    def __post_init__(self):
+        if any(v != v for v in (self.normal_eps, self.delta_eps, self.alpha)):
+            raise ValueError(f"slacks and alpha must be numbers, got {self}")
+
 
 @dataclass(frozen=True)
 class ExponentReport:
@@ -403,7 +409,7 @@ def fractal_estimates(spec: SebaSpectrum, table: ArithmeticTable,
     if normalization not in ("multifractal", "simple"):
         raise ValueError(f"unknown normalization {normalization!r}")
     qs = tuple(float(q) for q in q_grid)
-    if not qs or any(b <= a for a, b in zip(qs, qs[1:])) or qs[0] <= 0.5:
+    if not qs or not all(b > a for a, b in zip(qs, qs[1:])) or not qs[0] > 0.5:
         raise ValueError("q_grid must be ascending with q > 1/2")
     x_lo, x_hi = window
     keep = (spec.n_tilde >= max(16, x_lo)) & (spec.n_tilde <= x_hi)

@@ -391,8 +391,13 @@ def _weak_cutoff(table: ArithmeticTable, config: CouplingConfig, lam_top: float)
     return x
 
 
-def _weak_kernel(table: ArithmeticTable, prefix: Tuple[np.ndarray, ...],
-                 j_lo: int, j_hi: int, config: CouplingConfig):
+def _points(table: ArithmeticTable, i0: int, i1: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The elements n[i0:i1] of N and their r2, as floats."""
+    n = table.representable[i0:i1]
+    return n.astype(np.float64), table.r2[n].astype(np.float64)
+
+
+def _weak_kernel(table: ArithmeticTable, j_lo: int, j_hi: int, config: CouplingConfig):
     """Two-level far-field kernel at one frozen cutoff.
 
     The chunk takes the points outside its window, and the constant, from
@@ -402,28 +407,29 @@ def _weak_kernel(table: ArithmeticTable, prefix: Tuple[np.ndarray, ...],
     every lane from the expansions' truncation and the engine's errors,
     the rounding in g itself aside.
     """
-    base, rep_f, w_f = prefix
-    lam_top = rep_f[j_hi + 1 - base]
-    x = _weak_cutoff(table, config, lam_top)
+    rep = table.representable
+    n = rep[j_lo:j_hi + 2].astype(np.float64)
+    x = _weak_cutoff(table, config, n[-1])
 
     def window(left, right):
         # centre, half-span and direct-sum reach of lanes spanning [left, right]
         half = 0.5 * (right - left)
         return 0.5 * (left + right), half, np.maximum(4.0 * half, 64.0)
 
-    c, half, reach = window(rep_f[j_lo - base], lam_top)
-    i0 = int(np.searchsorted(rep_f, c - reach, side="left"))
-    i1 = int(np.searchsorted(rep_f, min(c + reach, x), side="right"))
-    far, far_err, size = _local_sums(table, c, _FAR_ORDER, x, (base + i0, base + i1))
+    c, half, reach = window(n[0], n[-1])
+    # integer keys: a float key would make numpy cast all of rep per call
+    i0 = int(np.searchsorted(rep, math.ceil(c - reach), side="left"))
+    i1 = int(np.searchsorted(rep, math.floor(min(c + reach, x)), side="right"))
+    far, far_err, size = _local_sums(table, c, _FAR_ORDER, x, (i0, i1))
     const, const_err, _ = _local_sums(table, 1j, 1, x)
     const = -float(const[0].real)
 
     # sub-blocks: direct sums over their own windows, clamped to the chunk's,
     # zero-padded to the widest; the rest of the chunk's window is a ring
-    starts = np.arange(j_lo, j_hi + 1, _SUB_BLOCK)
-    stops = np.minimum(starts + _SUB_BLOCK, j_hi + 1)
-    c_sub, half_sub, reach_sub = window(rep_f[starts - base], rep_f[stops - base])
-    win_n, win_w = rep_f[i0:i1], w_f[i0:i1]
+    starts = np.arange(0, len(n) - 1, _SUB_BLOCK)
+    stops = np.minimum(starts + _SUB_BLOCK, len(n) - 1)
+    c_sub, half_sub, reach_sub = window(n[starts], n[stops])
+    win_n, win_w = _points(table, i0, i1)
     a = np.searchsorted(win_n, c_sub - reach_sub, side="left")
     b = np.searchsorted(win_n, c_sub + reach_sub, side="right")
     ring = _local_moments(win_n, win_w, c_sub, half_sub, list(zip(a, b)))
@@ -452,10 +458,8 @@ def _window_keys(n_j: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.ceil(n_j - half).astype(np.int64), np.floor(n_j + half).astype(np.int64)
 
 
-def _strong_kernel(table: ArithmeticTable, prefix: Tuple[np.ndarray, ...],
-                   j_lo: int, j_hi: int, config: CouplingConfig):
+def _strong_kernel(table: ArithmeticTable, j_lo: int, j_hi: int, config: CouplingConfig):
     """Each lane's window |n - n_j| <= sqrt(n_j), zero-padded to the widest."""
-    base, rep_f, w_f = prefix
     rep = table.representable
     n_j = rep[j_lo:j_hi + 1]
     if n_j[-1] + math.sqrt(n_j[-1]) > table.x_max:
@@ -463,9 +467,9 @@ def _strong_kernel(table: ArithmeticTable, prefix: Tuple[np.ndarray, ...],
             f"window of n_j={int(n_j[-1])} exceeds x_max={table.x_max}")
     key_lo, key_hi = _window_keys(n_j)
     # integer keys: a float key would make numpy cast all of rep per call
-    a = np.searchsorted(rep, key_lo, side="left") - base
-    b = np.searchsorted(rep, key_hi, side="right") - base
-    near_n, near_w = _padded(rep_f, w_f, a, b)
+    a = np.searchsorted(rep, key_lo, side="left")
+    b = np.searchsorted(rep, key_hi, side="right")
+    near_n, near_w = _padded(*_points(table, a[0], b[-1]), a - a[0], b - a[0])
 
     def g(lams: np.ndarray, idx: np.ndarray) -> np.ndarray:
         near = (near_w[idx] / (near_n[idx] - lams[:, None])).sum(axis=1)
@@ -473,28 +477,12 @@ def _strong_kernel(table: ArithmeticTable, prefix: Tuple[np.ndarray, ...],
     return g
 
 
-def _prefix(table: ArithmeticTable, chunks: Sequence[Tuple[int, int]],
-            config: CouplingConfig) -> Tuple[int, np.ndarray, np.ndarray]:
-    """(base, n, w): the elements of N from index base on that the kernels of
-    the chunks (j_lo, j_hi) read, as floats with their r2."""
-    rep = table.representable
-    lo, hi = chunks[0][0], chunks[-1][1]
-    if config.mode == "weak":    # each chunk's window c +- max(4 half, 64)
-        pad = max(64.0, max(2.0 * float(rep[b + 1] - rep[a]) for a, b in chunks))
-    else:                        # each lane's window n_j +- sqrt(n_j)
-        pad = math.sqrt(rep[hi])
-    base = int(np.searchsorted(rep, math.ceil(rep[lo] - pad), side="left"))
-    n = rep[base:int(np.searchsorted(rep, math.floor(rep[hi + 1] + pad), side="right"))]
-    return base, n.astype(np.float64), table.r2[n].astype(np.float64)
-
-
-def _solve_chunk(table: ArithmeticTable, prefix: Tuple[np.ndarray, ...],
-                 j_lo: int, j_hi: int, config: CouplingConfig) -> np.ndarray:
+def _solve_chunk(table: ArithmeticTable, j_lo: int, j_hi: int,
+                 config: CouplingConfig) -> np.ndarray:
     """Roots of intervals j_lo..j_hi (inclusive), solved in lockstep."""
     kernel = _weak_kernel if config.mode == "weak" else _strong_kernel
-    g = kernel(table, prefix, j_lo, j_hi, config)
-    base, rep_f, w_f = prefix
-    n, w = rep_f[j_lo - base:j_hi + 2 - base], w_f[j_lo - base:j_hi + 2 - base]
+    g = kernel(table, j_lo, j_hi, config)
+    n, w = _points(table, j_lo, j_hi + 2)
     left, right, w_left, w_right = n[:-1], n[1:], w[:-1], w[1:]
     if config.mode == "strong":
         # a strong window may stop short of n_{j+1}; g then has no pole there
@@ -534,7 +522,7 @@ def solve_interval(j: int, table: ArithmeticTable, config: CouplingConfig) -> fl
     rep = table.representable
     if not 0 <= j < len(rep) - 1:
         raise IndexError(f"interval index {j} out of range")
-    return float(_solve_chunk(table, _prefix(table, [(j, j)], config), j, j, config)[0])
+    return float(_solve_chunk(table, j, j, config)[0])
 
 
 def solve_ground(table: ArithmeticTable, config: CouplingConfig) -> float:
@@ -607,12 +595,11 @@ def solve_range(x_min: int, x_max_solve: int, table: ArithmeticTable,
         for block in blocks:
             _check_chunk(table, block, config)
         raise
-    prefix = _prefix(table, blocks, config)
     if config.mode == "weak":    # the moments every chunk reads, before threads
         table.moments.upto(config.cutoff.bound(float(rep[i_hi])))
 
     def run(block: Tuple[int, int]) -> np.ndarray:
-        return _solve_chunk(table, prefix, block[0], block[1], config)
+        return _solve_chunk(table, block[0], block[1], config)
 
     n_workers = 1 if threads is None else max(1, int(threads))
     if n_workers > 1 and len(blocks) > 1:

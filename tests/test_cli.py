@@ -311,6 +311,45 @@ def test_rerun_resolves_a_null_table_max(tmp_path):
     assert again.read_bytes() == direct.read_bytes()
 
 
+WINDOW = ["--x-min", "1000", "--x-max", "90000"]
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["tail", "--t", "inf"], "t must be finite, got inf"),
+    (["tail", "--t", "nan"], "t must be finite, got nan"),
+    (["tail", "--t", "1000", "--q-grid", "nan"], "NaN, not a finite number, in q_grid=[nan]"),
+    (["tail", "--t", "1000", "--g-exponent", "nan"], "in g_exponent=nan"),
+    (["moments", "--x-min", "1000", "--x-max", "1200", "--q-grid", "1,nan"],
+     "moments config has NaN, not a finite number, in q_grid=[1.0, nan]"),
+    (["moments", "--x-min", "1000", "--x-max", "1200", "--rel-tol", "nan"], "in rel_tol=nan"),
+    (["exponents"] + WINDOW + ["--q-grid", "1.25,nan"], "in q_grid=[1.25, nan]"),
+    (["exponents"] + WINDOW + ["--rel-tol", "nan"], "in rel_tol=nan"),
+    (["exponents"] + WINDOW + ["--alpha", "nan"], "in alpha=nan"),
+    (["exponents"] + WINDOW + ["--normal-eps", "nan"], "in normal_eps=nan"),
+    (["exponents"] + WINDOW + ["--delta-eps", "nan"], "in delta_eps=nan"),
+    (["symmetry", "--a", "nan"], "in a=nan"),
+    (["epstein", "--a", "1", "--s", "2", "--dps", "25", "--a", "nan"], "in a=nan"),
+])
+def test_nan_option_is_validation(tmp_path, monkeypatch, capsys, argv, msg):
+    # NaN passes every comparison; it is refused by name before any table is
+    # sieved, also under rerun, where json spells it NaN.  A non-finite T is
+    # refused before it sizes the table
+    def no_sieve(*args, **kwargs):
+        raise RuntimeError("the sieve ran before validation")
+
+    monkeypatch.setattr(cli, "build_table", no_sieve)
+    out = tmp_path / "r.txt"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert msg in capsys.readouterr().err
+    cfg = {k: v for k, v in vars(build_parser().parse_args(argv)).items()
+           if k not in ("out", "threads")}
+    saved = tmp_path / "cfg.json"
+    saved.write_text(json.dumps(cfg))
+    assert main(["rerun", "--config", str(saved), "--out", str(out)]) == 2
+    assert msg in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("s", ["inf", "-inf", "nan"])
 def test_epstein_rejects_non_finite_s(s, capsys):
     assert main(["epstein", "--a", "1", f"--s={s}"]) == 2

@@ -91,6 +91,33 @@ def test_direct_precondition_and_nonconvergence():
         _zeta_star(F1, 0.0, 3.0, 1e-9, r_cut=10.0, r_max=100.0)
 
 
+@pytest.mark.parametrize("a", [0.4, 1.0, 1.3, 1.4477750617969067])
+@pytest.mark.parametrize("fn", [lambda q: q ** -1.5, lambda q: q ** -(1.5 + 2j)],
+                         ids=["real", "complex"])
+def test_lattice_pass_matches_double_loop(a, fn):
+    # no value test sees a boundary error: a dropped point with Q = R lowers
+    # the partial sum by R^-s, and the boundary term -R^-s E(R) gives it back.
+    # Radii: points on the boundary (exactly at a = 1, to rounding else),
+    # below 1/a^2 (empty column 0) and below a^2 (empty m axis).  A point is
+    # in when a^-2 n^2 <= r - a^2 m^2 in float64; where float Q lies within
+    # rounding of r this and Q <= r may differ, and either choice is exact
+    # for the boundary term, which counts the same points
+    a2, inv_a2 = a * a, 1.0 / (a * a)
+    radii = [a2 * m * m + inv_a2 * n * n for m, n in ((3, 4), (5, 5), (1, 8), (7, 0), (0, 7))]
+    radii += [25.0, 50.0, 65.0, 200.5, 0.5 * inv_a2, 0.5 * a2, 0.99 * min(a2, inv_a2)]
+    for r in radii:
+        m_hi, n_hi = int(math.sqrt(r / a2)) + 2, int(math.sqrt(r * a2)) + 2
+        q = np.array([a2 * m * m + inv_a2 * n * n
+                      for m in range(-m_hi, m_hi + 1) for n in range(-n_hi, n_hi + 1)
+                      if (m, n) != (0, 0) and inv_a2 * n * n <= r - a2 * m * m])
+        terms = fn(q)
+        want = complex(math.fsum(terms.real), math.fsum(np.imag(terms)))
+        got, count = epstein._sum_over_lattice(RectangularForm(a), r, fn)
+        assert count == len(q), (r, count, len(q))
+        assert abs(got - want) <= 1e-14 * np.abs(terms).sum(), (r, got, want)
+        assert isinstance(got, complex) == np.iscomplexobj(terms) or not len(q)
+
+
 def shell_passes(monkeypatch):
     """Record each lattice pass's radius and each shell sum's finish and tol."""
     passes, sums = [], []

@@ -157,6 +157,43 @@ def test_moment_profile_validation(table):
         mf.moment_profile(2.5, 0.5, 2, (0.55, 2.0), table)
 
 
+def test_nan_fails_every_check(weak_spec):
+    # NaN passes no comparison, so each check is written to fail on it; a
+    # NaN rel_tol used to switch the certified tail check off (inf still does)
+    small = build_table(3000)
+    with pytest.raises(ValueError, match="rel_tol"):
+        mf.zeta_lambda(1000.5, 2.0, small, rel_tol=math.nan)
+    assert mf.zeta_lambda(1000.5, 2.0, small, rel_tol=math.inf).tail_bound > 9e-3
+    with pytest.raises(ValueError, match="require s > 1"):
+        mf.zeta_lambda(1000.5, math.nan, small)
+    for grid in ((1.0, math.nan), (math.nan,), (math.nan, 2.0)):
+        with pytest.raises(ValueError):
+            mf.moment_profile(1000.5, 0.5, 1000, grid, small, rel_tol=math.inf)
+        with pytest.raises(ValueError, match="q_grid"):
+            mf.fractal_estimates(weak_spec, small, grid, (1000, 90_000))
+    with pytest.raises(ValueError, match="delta"):
+        mf.moment_profile(1000.5, math.nan, 1000, (1.5,), small, rel_tol=math.inf)
+    with pytest.raises(ValueError, match="q > 1/2"):
+        mf.tail_tau(1000.5, 10.0, math.nan, small)
+    with pytest.raises(ValueError, match="G >= 1"):
+        mf.tail_tau(1000.5, math.nan, 1.5, small)
+    with pytest.raises(ValueError, match="q > 1/2"):
+        mf.mean_tail(900.0, 10.0, math.nan, small)
+    with pytest.raises(ValueError, match="T too small"):
+        mf.mean_tail(math.nan, 10.0, 1.5, small)
+    with pytest.raises(ValueError, match="q > 1/2"):
+        mf.essential_support_G(1.0, math.nan)
+    with pytest.raises(ValueError, match="mean_delta"):
+        mf.essential_support_G(math.nan, 1.5)
+    with pytest.raises(ValueError, match="q >= 3/2"):
+        mf.rigid_bound_f(math.nan)
+    with pytest.raises(ValueError, match="q >= 3/2"):
+        mf.breakdown_diagnostic(math.nan)
+    for field in ("normal_eps", "delta_eps", "alpha"):
+        with pytest.raises(ValueError, match=field):
+            mf.FilterConfig(**{field: math.nan})
+
+
 # ----------------------------------------------------------------- tails --
 
 def test_tail_tau_direct_oracle(table):

@@ -406,8 +406,8 @@ def weak_kernels(monkeypatch):
     built = []
     kernel = spectrum._weak_kernel
 
-    def capture(table, prefix, j_lo, j_hi, config):
-        g = kernel(table, prefix, j_lo, j_hi, config)
+    def capture(table, j_lo, j_hi, config):
+        g = kernel(table, j_lo, j_hi, config)
         built.append((g, j_lo, j_hi, config))
         return g
     monkeypatch.setattr(spectrum, "_weak_kernel", capture)
