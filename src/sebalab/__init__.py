@@ -5,34 +5,40 @@ Five layers, one per concern: integer arithmetic of sums of two squares
 (`spectrum`), spectral-zeta moment profiles and fractal-exponent estimators
 (`multifractal`), Epstein zeta functions of rectangular forms with analytic
 continuation (`epstein`), and a command line front end (`cli`).
+
+`import sebalab` loads no layer: each name below is imported from its home
+module on first use (PEP 562), so numpy and mpmath load only when needed.
 """
 
-from .arithmetic import ArithmeticTable, build_table
-from .epstein import RectangularForm
-from .multifractal import (ExponentReport, FilterConfig, MomentProfile,
-                           density_filter, exponent_chain, fractal_estimates,
-                           mean_tail, moment_profile, tail_tau, zeta_lambda)
-from .spectrum import CouplingConfig, CutoffPolicy, SebaSpectrum, solve_range
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArithmeticTable",
-    "CouplingConfig",
-    "CutoffPolicy",
-    "ExponentReport",
-    "FilterConfig",
-    "MomentProfile",
-    "RectangularForm",
-    "SebaSpectrum",
-    "build_table",
-    "density_filter",
-    "exponent_chain",
-    "fractal_estimates",
-    "mean_tail",
-    "moment_profile",
-    "solve_range",
-    "tail_tau",
-    "zeta_lambda",
-    "__version__",
-]
+_HOMES = {
+    "ArithmeticTable": "arithmetic",
+    "build_table": "arithmetic",
+    "RectangularForm": "epstein",
+    "ExponentReport": "multifractal",
+    "FilterConfig": "multifractal",
+    "MomentProfile": "multifractal",
+    "density_filter": "multifractal",
+    "exponent_chain": "multifractal",
+    "fractal_estimates": "multifractal",
+    "mean_tail": "multifractal",
+    "moment_profile": "multifractal",
+    "tail_tau": "multifractal",
+    "zeta_lambda": "multifractal",
+    "CouplingConfig": "spectrum",
+    "CutoffPolicy": "spectrum",
+    "SebaSpectrum": "spectrum",
+    "solve_range": "spectrum",
+}
+
+__all__ = sorted(_HOMES) + ["__version__"]
+
+
+def __getattr__(name):
+    # not cached here, so the name always is its home module's object
+    if name in _HOMES:
+        return getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

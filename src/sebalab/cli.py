@@ -13,26 +13,35 @@ round-trips through text exactly.
 
 Exit codes: 0 success, 1 computation failure (root finding, continuation),
 2 validation failure (bad flags or ranges, unwritable output path).
+
+Each handler imports the layers it runs, so a command loads and compiles
+only those: `epstein` and `symmetry` never load the sieve, the others never
+load mpmath.
 """
 
 import argparse
+import functools
 import io
 import json
 import math
 import os
 import sys
-import tempfile
 
 from . import __version__
-from .arithmetic import CapacityError, build_table
-from .epstein import (DIRECT_MIN_RE_S, LogDomainError, NonconvergenceError,
-                      PoleError, RectangularForm, epstein_continued,
-                      epstein_direct, ground_exponents, symmetry_check)
-from .multifractal import (FilterConfig, fractal_estimates, mean_tail,
-                           moment_profile)
-from .spectrum import CouplingConfig, CutoffPolicy, solve_range
 
 _CONFIG_PREFIX = "# config: "
+
+
+def _not_inf(text):
+    """A float that is not infinite.  NaN passes: `execute` refuses it by
+    name, also in the configs of `rerun`."""
+    try:
+        val = float(text)
+    except ValueError:    # argparse's own wording for a bad float
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if math.isinf(val):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return val
 
 
 def _q_grid(text):
@@ -42,6 +51,8 @@ def _q_grid(text):
         raise argparse.ArgumentTypeError(f"bad q grid {text!r}")
     if not vals:
         raise argparse.ArgumentTypeError("empty q grid")
+    if any(map(math.isinf, vals)):
+        raise argparse.ArgumentTypeError(f"q entries must be finite, got {text!r}")
     return vals
 
 
@@ -114,7 +125,7 @@ def build_parser():
                    default="multifractal")
     p.add_argument("--normal-eps", type=float, default=0.25)
     p.add_argument("--delta-eps", type=float, default=0.25)
-    p.add_argument("--alpha", type=float, default=None,
+    p.add_argument("--alpha", type=_not_inf, default=None,
                    help="pin the gap exponent instead of estimating it")
     p.add_argument("--rel-tol", type=float, default=1.0e-6)
     _add_output(p, "json")
@@ -186,6 +197,7 @@ def _default_table_max(cfg):
 # ---------------------------------------------------------------------------
 
 def _coupling_from(cfg):
+    from .spectrum import CouplingConfig, CutoffPolicy
     return CouplingConfig(
         mode=cfg["mode"], theta=cfg["theta"], beta_c=cfg["beta_c"],
         beta_b=cfg["beta_b"], root_tol=cfg["root_tol"],
@@ -194,6 +206,8 @@ def _coupling_from(cfg):
 
 
 def _solve_window(cfg, threads):
+    from .arithmetic import build_table
+    from .spectrum import solve_range
     table = build_table(cfg["table_max"])
     spec = solve_range(cfg["x_min"], cfg["x_max"], table,
                        _coupling_from(cfg), threads=threads)
@@ -201,6 +215,7 @@ def _solve_window(cfg, threads):
 
 
 def _run_sieve(cfg, threads):
+    from .arithmetic import build_table
     table = build_table(cfg["x_max"])
     rows = [(int(n), int(table.r2[n]), int(table.omega1[n]))
             for n in table.representable]
@@ -215,6 +230,7 @@ def _run_spectrum(cfg, threads):
 
 
 def _run_moments(cfg, threads):
+    from .multifractal import moment_profile
     table, spec = _solve_window(cfg, threads)
     qs = tuple(cfg["q_grid"])
     stride = max(1, len(spec) // cfg["limit"])
@@ -235,6 +251,8 @@ def _run_moments(cfg, threads):
 
 
 def _run_tail(cfg, threads):
+    from .arithmetic import build_table
+    from .multifractal import mean_tail
     table = build_table(cfg["table_max"])
     t = cfg["t"]
     g = t ** cfg["g_exponent"]
@@ -249,6 +267,8 @@ def _run_tail(cfg, threads):
 
 
 def _run_symmetry(cfg, threads):
+    from .epstein import (LogDomainError, PoleError, RectangularForm,
+                          ground_exponents, symmetry_check)
     form = RectangularForm(a=cfg["a"])
     rows = []
     for q in cfg["q_grid"]:
@@ -265,6 +285,8 @@ def _run_symmetry(cfg, threads):
 
 
 def _run_epstein(cfg, threads):
+    from .epstein import (DIRECT_MIN_RE_S, NonconvergenceError, RectangularForm,
+                          epstein_continued, epstein_direct)
     form = RectangularForm(a=cfg["a"])
     s = cfg["s"]
     got = None
@@ -280,6 +302,7 @@ def _run_epstein(cfg, threads):
 
 
 def _run_exponents(cfg, threads):
+    from .multifractal import FilterConfig, fractal_estimates
     table, spec = _solve_window(cfg, threads)
     filters = FilterConfig(normal_eps=cfg["normal_eps"],
                            delta_eps=cfg["delta_eps"], alpha=cfg["alpha"])
@@ -340,16 +363,32 @@ def render(cfg, payload):
     return out.getvalue()
 
 
+def _parses(kind, text):
+    try:
+        kind(text)
+    except argparse.ArgumentTypeError:
+        return False
+    return True
+
+
 def _conforms(action, value):
-    """Whether a config value is one its option's parser can produce."""
+    """Whether a config value is one its option's parser can produce: of a
+    type it returns, and accepted by it when spelt as on the command line."""
     if value is None:
         return action.default is None and not action.required
     if action.choices:
         return value in action.choices
     if action.type is _q_grid:
-        return type(value) in (list, tuple) and len(value) > 0 and all(
-            type(v) in (int, float) for v in value)
+        return type(value) in (list, tuple) and all(
+            type(v) in (int, float) for v in value) and _parses(
+                _q_grid, ",".join(map(repr, value)))
+    if action.type is _not_inf:
+        return type(value) in (int, float) and _parses(_not_inf, repr(value))
     return type(value) in {int: (int,), float: (int, float)}.get(action.type, (str,))
+
+
+# one parser per process: main parses argv with it, execute reads its options
+_parser = functools.lru_cache(maxsize=None)(build_parser)
 
 
 def execute(cfg, threads=None):
@@ -358,7 +397,7 @@ def execute(cfg, threads=None):
     if cmd not in _HANDLERS:
         raise ValueError(f"unknown command in config: {cmd!r}")
     # every key resolve_config writes: the subparser's dests but these three
-    sub = next(a for a in build_parser()._actions
+    sub = next(a for a in _parser()._actions
                if isinstance(a, argparse._SubParsersAction)).choices[cmd]
     missing = sorted({a.dest for a in sub._actions} - {"help", "out", "threads"} - cfg.keys())
     if missing:
@@ -403,6 +442,7 @@ def _deliver(text, path):
     if path is None:
         sys.stdout.write(text)
         return
+    import tempfile
     parent = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=parent, prefix=".sebalab-", suffix=".tmp")
     try:
@@ -435,14 +475,21 @@ def load_config(path):
     raise ValueError(f"{path} carries no recognizable config")
 
 
+def _capacity_error():
+    """The sieve's CapacityError once a handler has loaded `arithmetic`, the
+    only module that raises it; before that, ValueError stands in."""
+    arithmetic = sys.modules.get(f"{__package__}.arithmetic")
+    return arithmetic.CapacityError if arithmetic else ValueError
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.command == "rerun" else vars(args)
         _check_writable(args.out)
         text = execute(cfg, threads=getattr(args, "threads", None))
         _deliver(text, args.out)
-    except (ValueError, CapacityError) as err:
+    except (ValueError, _capacity_error()) as err:    # evaluated only on an error
         print(f"sebalab: {err}", file=sys.stderr)
         return 2
     except (RuntimeError, OSError) as err:

@@ -54,7 +54,6 @@ widest, as one matrix.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -603,6 +602,7 @@ def solve_range(x_min: int, x_max_solve: int, table: ArithmeticTable,
 
     n_workers = 1 if threads is None else max(1, int(threads))
     if n_workers > 1 and len(blocks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(run, blocks))
     else:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sebalab import __version__, cli
+from sebalab import __version__, arithmetic
 from sebalab.cli import build_parser, load_config, main, resolve_config
 
 
@@ -251,7 +251,7 @@ def test_invalid_config_rejected_before_the_sieve(tmp_path, monkeypatch,
     def no_sieve(*args, **kwargs):
         raise RuntimeError("the sieve ran before validation")
 
-    monkeypatch.setattr(cli, "build_table", no_sieve)
+    monkeypatch.setattr(arithmetic, "build_table", no_sieve)
     nested_csv = ["exponents", "--x-min", "1000", "--x-max", "30000",
                   "--format", "csv"]
     assert main(nested_csv) == 2
@@ -337,7 +337,7 @@ def test_nan_option_is_validation(tmp_path, monkeypatch, capsys, argv, msg):
     def no_sieve(*args, **kwargs):
         raise RuntimeError("the sieve ran before validation")
 
-    monkeypatch.setattr(cli, "build_table", no_sieve)
+    monkeypatch.setattr(arithmetic, "build_table", no_sieve)
     out = tmp_path / "r.txt"
     assert main(argv + ["--out", str(out)]) == 2
     assert msg in capsys.readouterr().err
@@ -348,6 +348,44 @@ def test_nan_option_is_validation(tmp_path, monkeypatch, capsys, argv, msg):
     assert main(["rerun", "--config", str(saved), "--out", str(out)]) == 2
     assert msg in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["tail", "--t", "1000"], "--q-grid", "inf"),
+    (["moments", "--x-min", "1000", "--x-max", "1200"], "--q-grid", "1,inf"),
+    (["exponents"] + WINDOW, "--alpha", "inf"),
+    (["exponents"] + WINDOW, "--q-grid", "1.25,-inf"),
+])
+def test_infinite_q_or_alpha_is_validation(tmp_path, monkeypatch, capsys,
+                                           argv, flag, value):
+    # the option's type refuses an infinity before any table is sieved; under
+    # rerun, where json spells it Infinity, the same type refuses it by name
+    def no_sieve(*args, **kwargs):
+        raise RuntimeError("the sieve ran before validation")
+
+    monkeypatch.setattr(arithmetic, "build_table", no_sieve)
+    out = tmp_path / "r.txt"
+    with pytest.raises(SystemExit) as refused:
+        main(argv + [flag, value, "--out", str(out)])
+    assert refused.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    dest = flag[2:].replace("-", "_")
+    cfg = {k: v for k, v in vars(build_parser().parse_args(argv)).items()
+           if k not in ("out", "threads")}
+    cfg[dest] = float(value) if dest == "alpha" else [float(v) for v in value.split(",")]
+    saved = tmp_path / "cfg.json"
+    saved.write_text(json.dumps(cfg))
+    assert main(["rerun", "--config", str(saved), "--out", str(out)]) == 2
+    assert f"config has invalid {dest}=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infinite_q_exits_2_from_the_command_line():
+    got = run_cli("tail", "--t", "1000", "--q-grid", "inf")
+    assert got.returncode == 2
+    assert got.stderr.endswith(
+        "error: argument --q-grid: q entries must be finite, got 'inf'\n")
+    assert got.stdout == ""
 
 
 @pytest.mark.parametrize("s", ["inf", "-inf", "nan"])
