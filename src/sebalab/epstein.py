@@ -68,8 +68,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Tuple, Union
 
-import mpmath as mp
 import numpy as np
+
+# mpmath is imported where the continuation and phi_Q use it, so the direct
+# shell routes (an `epstein` command at s > 1.05) run without loading it
 
 Number = Union[float, complex]
 
@@ -364,6 +366,7 @@ def _upper_gamma(a):
     lost more than one digit beyond the estimate.  Other orders take
     mpmath's upper gammainc at w digits.
     """
+    import mpmath as mp
     if not isinstance(a, mp.mpf) or mp.isint(a):
         def upper(x, w):
             with mp.workdps(w):
@@ -391,6 +394,7 @@ def _upper_gamma(a):
 
 @lru_cache(maxsize=4096)
 def _continued_cached(a: float, s_key: complex, dps: int) -> Tuple[complex, float]:
+    import mpmath as mp
     form = RectangularForm(a)
     s_abs = abs(s_key)
     q_cut = _continued_cutoff(s_abs, dps)
@@ -465,6 +469,7 @@ def phi_Q(s: Number) -> Number:
     phi_Q(1/2) = 1 and phi_Q(s) phi_Q(1-s) = 1.  Integer s hits a gamma pole
     on one side or the other and raises PoleError.
     """
+    import mpmath as mp
     _check_finite(s)
     s_c = complex(s)
     if s_c.imag == 0 and s_c.real == int(s_c.real):

@@ -46,8 +46,16 @@ def test_import_loads_neither_numpy_nor_mpmath(tmp_path, statement):
 
 
 def test_epstein_command_loads_no_sieve_layer(tmp_path):
+    # s = 2 takes the direct shell route, which needs no mpmath either
     mods = loaded_by_command("epstein --a 1 --s 2", tmp_path)
     assert "sebalab.epstein" in mods
+    assert not mods & {"sebalab.arithmetic", "sebalab.lattice", "sebalab.spectrum",
+                       "sebalab.multifractal", "mpmath"}
+
+
+def test_symmetry_command_loads_no_sieve_layer(tmp_path):
+    mods = loaded_by_command("symmetry --a 1.2 --q-grid 0.25,0.75", tmp_path)
+    assert "sebalab.epstein" in mods and "mpmath" in mods
     assert not mods & {"sebalab.arithmetic", "sebalab.lattice",
                        "sebalab.spectrum", "sebalab.multifractal"}
 
